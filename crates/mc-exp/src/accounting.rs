@@ -1,12 +1,13 @@
 //! Shared completion accounting over a campaign's unit space.
 //!
-//! Three consumers need the same arithmetic — the runner's progress
-//! reporter, `chebymc exp status`, and the mc-serve coordinator's lease
-//! table — so it lives here once: which axis points are fully replicated,
-//! and how far each `i/n` shard stripe has progressed. Every function is
-//! pure over a completion predicate, so callers can account against a
-//! [`Store`](crate::store::Store), a lease table's in-memory set, or
-//! anything else that knows which units are done.
+//! `chebymc exp status` and the mc-serve coordinator's lease table need
+//! the same arithmetic, so it lives here once: which axis points are
+//! fully replicated, and how far each `i/n` shard stripe has progressed.
+//! Every function is pure over a completion predicate, so callers can
+//! account against a [`Store`](crate::store::Store), a lease table's
+//! in-memory set, or anything else that knows which units are done. (The
+//! runner keeps per-point counters instead of rescanning the unit space
+//! per record; its tests check them against [`points_complete`].)
 
 use crate::run::Shard;
 use crate::spec::CampaignSpec;

@@ -7,19 +7,24 @@
 //! store's documented crash invariant, and at the end it checks byte
 //! identity:
 //!
-//! 1. **Acked records survive.** Any record whose [`Store::append`]
-//!    returned `Ok` (write + fsync acknowledged) must be replayed as
-//!    complete by every later resume, byte-for-byte. The converse is NOT
-//!    required: an unacknowledged record whose bytes happened to reach
-//!    the disk may legitimately replay too.
+//! 1. **Acked records survive.** Any record whose commit
+//!    ([`Store::append_batch`]) returned `Ok` (writes + fsync
+//!    acknowledged) must be replayed as complete by every later resume,
+//!    byte-for-byte. The converse is NOT required: an unacknowledged
+//!    record whose bytes happened to reach the disk may legitimately
+//!    replay too.
 //! 2. **Canonical byte identity.** Once the campaign completes, the
 //!    store's [`Store::canonical_lines`] must equal those of an
 //!    uninterrupted in-memory run of the same campaign.
 //!
 //! Every violation carries the schedule seed that reproduces it
-//! (`chebymc fault sweep --seed <seed> --count 1`). A sharded variant
-//! runs the campaign as two independently-crashing shards and checks the
-//! merge instead, covering the run → crash → resume → merge path.
+//! (`chebymc fault sweep --seed <seed> --count 1`). A quarter of the
+//! schedule seeds run in *batch mode*: their sessions group-commit the
+//! pending units in seed-derived batches of 1–5 records, so crashes and
+//! injected errors land between the lines of one multi-record commit. A
+//! sharded variant runs the campaign as two independently-crashing
+//! shards and checks the merge instead, covering the run → crash →
+//! resume → merge path.
 
 use crate::spec::{CampaignSpec, Param, PointSpec};
 use crate::store::{Metric, Store, UnitRecord};
@@ -100,6 +105,8 @@ pub struct SweepReport {
     pub crashes: u64,
     /// Non-crash faults (failed/short writes, failed fsyncs) injected.
     pub injected_errors: u64,
+    /// Acknowledged commits of more than one record (batch mode).
+    pub batch_commits: u64,
     /// Invariant violations, each with its reproducing seed.
     pub violations: Vec<Violation>,
 }
@@ -168,12 +175,22 @@ enum Session {
     Violated(String),
 }
 
+/// Whether a schedule seed runs in batch mode (a quarter of the seeds;
+/// the sharded checker takes another quarter).
+fn batch_mode(schedule_seed: u64) -> bool {
+    schedule_seed % 4 == 1
+}
+
 /// Runs one session: resume the store from the disk, verify every acked
-/// record replayed, then append pending units until done or killed.
+/// record replayed, then commit pending units until done or killed. With
+/// `batches`, each commit takes the next 1–5 pending units (sizes drawn
+/// from it); without, every unit is its own commit.
 fn run_session(
     disk: &SimDisk,
     spec: &CampaignSpec,
     acked: &mut BTreeMap<usize, UnitRecord>,
+    mut batches: Option<FaultRng>,
+    report: &mut SweepReport,
 ) -> Session {
     let io = Box::new(disk.open());
     let (mut store, _info) = match Store::create_or_resume_io(io, "<sim>", spec) {
@@ -196,14 +213,23 @@ fn run_session(
             None => return Session::Violated(format!("acked unit {unit} has no record")),
         }
     }
-    for index in 0..spec.total_units() {
-        if store.is_complete(index) {
-            continue;
-        }
-        let rec = unit_record(spec, index);
-        match store.append(rec.clone()) {
+    let pending: Vec<usize> = (0..spec.total_units())
+        .filter(|&index| !store.is_complete(index))
+        .collect();
+    let mut rest = &pending[..];
+    while !rest.is_empty() {
+        let size = batches.as_mut().map_or(1, |rng| {
+            usize::try_from(rng.range_u64(1, 5)).expect("batch size fits usize")
+        });
+        let (head, tail) = rest.split_at(size.min(rest.len()));
+        rest = tail;
+        let batch: Vec<UnitRecord> = head.iter().map(|&i| unit_record(spec, i)).collect();
+        match store.append_batch(batch.clone()) {
             Ok(()) => {
-                acked.insert(index, rec);
+                if batch.len() > 1 {
+                    report.batch_commits += 1;
+                }
+                acked.extend(batch.into_iter().map(|r| (r.unit, r)));
             }
             Err(crate::ExpError::Io { .. }) => return Session::Died,
             Err(e) => return Session::Violated(format!("append failed: {e}")),
@@ -212,8 +238,12 @@ fn run_session(
     Session::Completed
 }
 
+/// RNG stream of the batch sizes, apart from the fault schedule's.
+const BATCH_STREAM: u64 = 0xBA7C;
+
 /// Drives one schedule's campaign to completion through crash/resume
-/// cycles on `disk`, returning the first violation if any.
+/// cycles on `disk`, returning the first violation if any. Batch-mode
+/// seeds (see the module docs) commit in seed-derived batches.
 ///
 /// # Errors
 ///
@@ -243,7 +273,9 @@ pub fn check_campaign(
             FaultSchedule::none()
         };
         disk.set_schedule(schedule);
-        let session = run_session(&disk, &spec, &mut acked);
+        let batches = batch_mode(schedule_seed)
+            .then(|| FaultRng::new(mix64(mix64(schedule_seed, BATCH_STREAM), cycle)));
+        let session = run_session(&disk, &spec, &mut acked, batches, report);
         report.cycles += 1;
         // End of session: crash (schedule) or clean process exit.
         let crashed = disk.is_crashed();
@@ -416,8 +448,9 @@ pub fn sweep(cfg: &SweepConfig) -> SweepReport {
     let mut report = SweepReport::default();
     for i in 0..cfg.count {
         let schedule_seed = cfg.seed.wrapping_add(i);
-        // The checker is chosen from the schedule seed itself (not the
-        // loop index) so replaying one seed re-runs the same checker.
+        // The checker (and batch mode, inside `check_campaign`) is chosen
+        // from the schedule seed itself, not the loop index, so replaying
+        // one seed re-runs the same checker.
         let result = if schedule_seed % 4 == 3 && cfg.sabotage.is_none() {
             // A quarter of the schedules exercise the sharded merge path.
             check_sharded_campaign(schedule_seed, cfg.ops, &mut report)
@@ -482,5 +515,35 @@ mod tests {
         });
         assert_eq!(replayed.violations.len(), 1);
         assert_eq!(replayed.violations[0].detail, v.detail);
+    }
+
+    #[test]
+    fn batch_mode_holds_both_invariants_and_commits_real_batches() {
+        let mut report = SweepReport::default();
+        for schedule_seed in (0..96u64).map(|i| 4 * i + 1) {
+            assert!(batch_mode(schedule_seed));
+            let result = check_campaign(schedule_seed, 16, None, &mut report);
+            assert!(result.is_ok(), "{}", result.unwrap_err());
+        }
+        assert!(
+            report.batch_commits > 0,
+            "no multi-record commit: {report:?}"
+        );
+        assert!(
+            report.crashes > 0 && report.injected_errors > 0,
+            "{report:?}"
+        );
+    }
+
+    #[test]
+    fn batch_mode_catches_a_dropped_durable_record() {
+        let mut caught = 0;
+        for schedule_seed in (0..40u64).map(|i| 4 * i + 1) {
+            let mut report = SweepReport::default();
+            let sabotage = Some(Sabotage::DropDurableRecord);
+            caught +=
+                usize::from(check_campaign(schedule_seed, 16, sabotage, &mut report).is_err());
+        }
+        assert!(caught > 0, "a sabotaged batch-mode store went undetected");
     }
 }

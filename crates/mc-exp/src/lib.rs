@@ -12,18 +12,23 @@
 //! * [`spec`] — campaign declaration, unit expansion, the campaign
 //!   fingerprint (the compatibility contract for resume/shard/merge).
 //! * [`store`] — the append-only JSONL result store: a schema-versioned
-//!   header plus one fsync'd record per completed unit. On restart the
-//!   store replays itself, truncates a torn tail, and reports which units
-//!   are already done.
+//!   header plus one record line per completed unit, group-committed —
+//!   a batch is validated whole, written line by line, and covered by
+//!   one fsync before its units count as complete. On restart the store
+//!   replays itself, truncates a torn tail, and reports which units are
+//!   already done.
 //! * [`run`] — the campaign runner: lints the spec (`E0xx`), filters the
 //!   shard's pending units, dispatches them over an [`mc_par::WorkerPool`]
 //!   with a [`mc_par::ThreadBudget`] split between units and inner GA
 //!   parallelism, and flushes records to the store *in session order* so
-//!   an uninterrupted store is byte-identical across thread counts.
+//!   an uninterrupted store is byte-identical across thread counts. The
+//!   lane that finds no commit in flight commits every ready record in
+//!   one batch while the others keep computing.
 //! * [`fault`] — deterministic crash-schedule sweeps: the store driven
 //!   through seed-derived crash/resume/merge interleavings on a simulated
-//!   disk (`mc_fault::SimDisk`), asserting the crash invariant and
-//!   canonical byte identity (`chebymc fault sweep`).
+//!   disk (`mc_fault::SimDisk`), one record or one seed-sized batch per
+//!   commit, asserting the crash invariant and canonical byte identity
+//!   (`chebymc fault sweep`).
 //! * [`accounting`] — shared completion arithmetic (points complete,
 //!   per-shard progress) used by the runner, `chebymc exp status`, and
 //!   the mc-serve coordinator's lease table.

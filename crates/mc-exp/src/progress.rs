@@ -1,7 +1,7 @@
 //! Throttled campaign progress reporting on stderr.
 //!
-//! The runner drives one [`Progress`] from inside its in-order flush, so
-//! lines reflect *persisted* units (fsync'd records), not merely finished
+//! The runner drives one [`Progress`] after each group commit, so lines
+//! reflect *persisted* units (fsync'd records), not merely finished
 //! computations. Output is throttled to at most one line per second so a
 //! fast campaign does not drown its own results.
 
@@ -45,11 +45,12 @@ impl Progress {
         }
     }
 
-    /// Records one persisted unit; emits a throttled status line with the
-    /// store-wide completion, the session rate, the ETA for this shard's
-    /// remaining units, and how many axis points are fully done.
-    pub fn unit_done(&mut self, store_completed: usize, points_done: usize) {
-        self.session_done += 1;
+    /// Records `count` persisted units (one group commit); emits a
+    /// throttled status line with the store-wide completion, the session
+    /// rate, the ETA for this shard's remaining units, and how many axis
+    /// points are fully done.
+    pub fn units_done(&mut self, count: usize, store_completed: usize, points_done: usize) {
+        self.session_done += count;
         if !self.enabled {
             return;
         }
@@ -114,7 +115,7 @@ mod tests {
     fn disabled_reporter_counts_but_stays_silent() {
         let mut p = Progress::new(false, 10, 2, 4);
         for i in 0..4 {
-            p.unit_done(i + 1, 0);
+            p.units_done(1, i + 1, 0);
         }
         assert_eq!(p.session_done, 4);
         p.finish(4);
@@ -123,10 +124,10 @@ mod tests {
     #[test]
     fn enabled_reporter_is_throttled() {
         let mut p = Progress::new(true, 100, 5, 50);
-        p.unit_done(1, 0);
+        p.units_done(1, 1, 0);
         let first = p.last_emit;
         assert!(first.is_some(), "first unit emits immediately");
-        p.unit_done(2, 0);
+        p.units_done(1, 2, 0);
         assert_eq!(p.last_emit, first, "second unit within 1s is suppressed");
     }
 
@@ -147,7 +148,7 @@ mod tests {
     fn non_empty_session_keeps_the_rate_summary() {
         let mut p = Progress::new(true, 10, 2, 4);
         for i in 0..4 {
-            p.unit_done(i + 1, 0);
+            p.units_done(1, i + 1, 0);
         }
         let line = p.finish_line(4);
         assert!(
@@ -159,9 +160,9 @@ mod tests {
     #[test]
     fn last_unit_always_emits() {
         let mut p = Progress::new(true, 2, 1, 2);
-        p.unit_done(1, 0);
+        p.units_done(1, 1, 0);
         let first = p.last_emit;
-        p.unit_done(2, 1);
+        p.units_done(1, 2, 1);
         assert_ne!(p.last_emit, first, "final unit bypasses the throttle");
     }
 }

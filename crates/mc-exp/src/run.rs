@@ -8,6 +8,9 @@
 //! predecessors are written — so an uninterrupted single-shard store is
 //! byte-identical across thread counts, and any interrupted, resumed, or
 //! sharded history converges to the same [`Store::canonical_lines`].
+//! Flushes are group commits ([`Store::append_batch`]): whichever pool
+//! lane finds no commit in flight commits every ready record with one
+//! fsync while the other lanes keep computing.
 
 use crate::progress::Progress;
 use crate::spec::{CampaignSpec, WorkUnit};
@@ -119,34 +122,69 @@ pub struct RunSummary {
     pub elapsed: Duration,
 }
 
-/// Shared completion sink: appends records to the store in session order
-/// (buffering out-of-order completions) and drives the progress reporter.
+/// Shared completion state of one session. Units finish in any order;
+/// their records commit to the store in session order. The store itself
+/// is the committer's baton: a lane that finds it in the sink takes it,
+/// commits every contiguous ready record with one group commit outside
+/// the lock, and repeats until nothing is ready, so the other lanes keep
+/// computing through the fsync. A lane that finds the baton gone just
+/// parks its record for the committer.
 struct Sink<'a> {
-    store: &'a mut Store,
+    /// The store, or `None` while a committer holds it.
+    store: Option<&'a mut Store>,
+    /// Session position of the next record to commit.
     next: usize,
+    /// Computed records waiting for their predecessors or the committer.
     pending: BTreeMap<usize, UnitRecord>,
+    /// Per axis point, replicas not yet in the store.
+    missing: Vec<usize>,
+    /// Axis points with every replica in the store.
+    points_done: usize,
+    /// Units in the store (all shards, not only this session's).
+    store_completed: usize,
     progress: Progress,
     error: Option<ExpError>,
 }
 
-impl Sink<'_> {
-    /// Accepts the `session_pos`-th unit's record, flushing every
-    /// record that is now in order. Returns `false` once the session
-    /// should stop (an append failed).
-    fn complete(&mut self, session_pos: usize, record: UnitRecord, spec: &CampaignSpec) -> bool {
-        self.pending.insert(session_pos, record);
-        while let Some(record) = self.pending.remove(&self.next) {
-            if let Err(e) = self.store.append(record) {
-                self.error = Some(e);
-                return false;
-            }
-            self.next += 1;
-            let points_done =
-                crate::accounting::points_complete(spec, |u| self.store.is_complete(u));
-            self.progress
-                .unit_done(self.store.completed_count(), points_done);
+impl<'a> Sink<'a> {
+    fn new(store: &'a mut Store, spec: &CampaignSpec, progress: Progress) -> Self {
+        let mut missing = vec![0usize; spec.points.len()];
+        for unit in (0..spec.total_units()).filter(|&u| !store.is_complete(u)) {
+            missing[unit / spec.replicas] += 1;
         }
-        true
+        Sink {
+            next: 0,
+            pending: BTreeMap::new(),
+            points_done: missing.iter().filter(|&&m| m == 0).count(),
+            missing,
+            store_completed: store.completed_count(),
+            store: Some(store),
+            progress,
+            error: None,
+        }
+    }
+
+    /// Takes the contiguous run of ready records starting at `next`.
+    fn take_ready(&mut self) -> Vec<UnitRecord> {
+        let mut batch = Vec::new();
+        while let Some(record) = self.pending.remove(&(self.next + batch.len())) {
+            batch.push(record);
+        }
+        batch
+    }
+
+    /// Counts a durable batch: session position, point counters, progress.
+    fn committed(&mut self, batch: &[UnitRecord]) {
+        self.next += batch.len();
+        self.store_completed += batch.len();
+        for record in batch {
+            self.missing[record.point] -= 1;
+            if self.missing[record.point] == 0 {
+                self.points_done += 1;
+            }
+        }
+        self.progress
+            .units_done(batch.len(), self.store_completed, self.points_done);
     }
 
     fn fail(&mut self, e: ExpError) {
@@ -156,9 +194,40 @@ impl Sink<'_> {
     }
 }
 
+/// Accepts the `session_pos`-th unit's record and, unless a commit is
+/// already in flight, commits every record that is now in order. Returns
+/// `false` once the session should stop.
+fn complete(sink: &Mutex<Sink<'_>>, session_pos: usize, record: UnitRecord) -> bool {
+    let mut st = sink.lock().expect("sink poisoned");
+    st.pending.insert(session_pos, record);
+    loop {
+        if st.error.is_some() {
+            return false;
+        }
+        let Some(store) = st.store.take() else {
+            return true; // the committer in flight picks this record up
+        };
+        let batch = st.take_ready();
+        if batch.is_empty() {
+            st.store = Some(store);
+            return true;
+        }
+        drop(st);
+        let before = store.records().len();
+        let result = store.append_batch(batch);
+        st = sink.lock().expect("sink poisoned");
+        match result {
+            Ok(()) => st.committed(&store.records()[before..]),
+            Err(e) => st.fail(e),
+        }
+        st.store = Some(store);
+    }
+}
+
 /// Runs (this shard of) a campaign: lints the spec, skips units the store
-/// already holds, computes the rest on a worker pool, and persists each
-/// record with an fsync before counting it done.
+/// already holds, computes the rest on a worker pool, and group-commits
+/// records in session order, counting a unit done only once the fsync
+/// covering it returns. At one thread every unit is its own commit.
 ///
 /// # Errors
 ///
@@ -203,13 +272,7 @@ pub fn run_campaign(
     let pool = mc_par::WorkerPool::new(outer);
 
     let progress = Progress::new(cfg.progress, total_units, spec.points.len(), session.len());
-    let sink = Mutex::new(Sink {
-        store,
-        next: 0,
-        pending: BTreeMap::new(),
-        progress,
-        error: None,
-    });
+    let sink = Mutex::new(Sink::new(store, spec, progress));
 
     pool.for_each_while(session.len(), |pos| {
         let unit = session[pos];
@@ -223,9 +286,7 @@ pub fn run_campaign(
                     seed: unit.seed,
                     metrics,
                 };
-                sink.lock()
-                    .expect("sink poisoned")
-                    .complete(pos, record, spec)
+                complete(&sink, pos, record)
             }
             Err(e) => {
                 sink.lock().expect("sink poisoned").fail(e);
@@ -239,8 +300,8 @@ pub fn run_campaign(
     if let Some(e) = sink.error {
         return Err(e);
     }
-    let completed = sink.store.completed_count();
-    sink.progress.finish(completed);
+    debug_assert!(sink.pending.is_empty(), "every computed record committed");
+    sink.progress.finish(sink.store_completed);
     Ok(RunSummary {
         total_units,
         shard_units,
@@ -320,6 +381,88 @@ mod tests {
             parallel.records(),
             "raw order matches too (in-order flush)"
         );
+
+        // Skewed unit costs hold the head of the session back while the
+        // other lanes run ahead, so group commits of many sizes form. The
+        // file must not depend on how the records were batched.
+        let skewed = |unit: &WorkUnit, inner: usize| {
+            if unit.index.is_multiple_of(5) {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            seed_runner(unit, inner)
+        };
+        let s = spec(4, 10);
+        let mut reference: Option<Vec<u8>> = None;
+        for threads in [1, 2, 4, 8] {
+            let disk = mc_fault::SimDisk::new();
+            let (mut store, _) =
+                Store::create_or_resume_io(Box::new(disk.open()), "<skewed>", &s).unwrap();
+            let syncs_before = disk.stats().syncs;
+            let cfg = RunConfig {
+                threads,
+                ..RunConfig::default()
+            };
+            let summary = run_campaign(&s, &skewed, &mut store, &cfg).unwrap();
+            assert_eq!(summary.ran, 40, "threads {threads}");
+            let commits = disk.stats().syncs - syncs_before;
+            if threads == 1 {
+                assert_eq!(commits, 40, "one fsync per unit at one thread");
+            } else {
+                assert!((1..=40).contains(&commits), "threads {threads}: {commits}");
+            }
+            let bytes = disk.durable();
+            match &reference {
+                None => reference = Some(bytes),
+                Some(r) => assert!(&bytes == r, "threads {threads} changed the store bytes"),
+            }
+        }
+    }
+
+    #[test]
+    fn point_counters_match_a_full_rescan() {
+        let s = spec(3, 4);
+        let mut store = Store::in_memory(&s);
+        for unit in [1usize, 4, 5, 6, 7] {
+            let u = s.unit(unit);
+            store
+                .append(UnitRecord {
+                    unit,
+                    point: u.point,
+                    replica: u.replica,
+                    seed: u.seed,
+                    metrics: seed_runner(&u, 1).unwrap(),
+                })
+                .unwrap();
+        }
+        let session: Vec<WorkUnit> = (0..12)
+            .filter(|&u| !store.is_complete(u))
+            .map(|u| s.unit(u))
+            .collect();
+        let progress = Progress::new(false, 12, 3, session.len());
+        let sink = Mutex::new(Sink::new(&mut store, &s, progress));
+        let check = |sink: &Mutex<Sink<'_>>| {
+            let st = sink.lock().unwrap();
+            let store = st.store.as_deref().unwrap();
+            let rescan = crate::accounting::points_complete(&s, |u| store.is_complete(u));
+            assert_eq!(st.points_done, rescan);
+            assert_eq!(st.store_completed, store.completed_count());
+        };
+        check(&sink);
+        // Out of order: some completions park, others release a batch.
+        for pos in [2, 0, 1, 5, 3, 6, 4] {
+            let u = session[pos];
+            let record = UnitRecord {
+                unit: u.index,
+                point: u.point,
+                replica: u.replica,
+                seed: u.seed,
+                metrics: seed_runner(&u, 1).unwrap(),
+            };
+            assert!(complete(&sink, pos, record));
+            check(&sink);
+        }
+        let st = sink.into_inner().unwrap();
+        assert_eq!((st.next, st.points_done), (7, 3));
     }
 
     #[test]

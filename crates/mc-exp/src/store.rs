@@ -2,10 +2,12 @@
 //!
 //! Layout: line 1 is the [`StoreHeader`] (schema version, campaign
 //! fingerprint, and the full embedded spec); every further line is one
-//! [`UnitRecord`]. Each record is written with a trailing newline and
-//! `fsync`'d (`File::sync_data`) before the unit counts as complete, so a
-//! crash can lose at most the record being written — never a completed
-//! one, and never the store's integrity.
+//! [`UnitRecord`]. Records are group-committed ([`Store::append_batch`]):
+//! each is written with a trailing newline, one `fsync`
+//! (`File::sync_data`) covers the batch, and only then do its units count
+//! as complete. A crash can lose at most the batch being committed —
+//! none of which was acknowledged — never a completed record, and never
+//! the store's integrity.
 //!
 //! On [`Store::create_or_resume`] the store replays itself: a torn or
 //! unparseable *last* line (the crash case) is truncated away; a corrupt
@@ -26,7 +28,7 @@ use crate::spec::{unit_seed, CampaignSpec};
 use crate::{io_err, label_io_err, ExpError};
 use mc_fault::{RealFile, StoreIo};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 
@@ -95,7 +97,7 @@ pub struct ResumeInfo {
 
 /// An experiment result store: an in-memory replay of its records plus,
 /// for persistent stores, a [`StoreIo`] append handle that fsyncs every
-/// record. The handle is a real file for on-disk stores and a simulated
+/// committed batch. The handle is a real file for on-disk stores and a simulated
 /// disk under fault injection (see `mc_fault::SimDisk`).
 #[derive(Debug)]
 pub struct Store {
@@ -298,75 +300,127 @@ impl Store {
         if existing == record {
             Ok(true)
         } else {
-            Err(ExpError::Store {
-                path: self.label.clone(),
-                detail: format!("unit {} has conflicting records", record.unit),
-            })
+            Err(self.conflict(record.unit))
         }
     }
 
-    /// Appends one record: validates it against the spec, writes its line,
-    /// and `fsync`s before returning — once this returns `Ok`, the unit
-    /// survives any crash.
+    fn conflict(&self, unit: usize) -> ExpError {
+        ExpError::Store {
+            path: self.label.clone(),
+            detail: format!("unit {unit} has conflicting records"),
+        }
+    }
+
+    /// Appends one record — the one-record case of
+    /// [`Store::append_batch`]: once this returns `Ok`, the unit survives
+    /// any crash.
     ///
     /// # Errors
     ///
     /// Duplicate or out-of-contract records, and I/O failures.
     pub fn append(&mut self, record: UnitRecord) -> Result<(), ExpError> {
-        let _append_span = mc_obs::span("store.append");
-        let display = self.label.clone();
-        validate_record(&record, &self.header.spec, &display)?;
-        if self.completed.contains(&record.unit) {
-            return Err(ExpError::Store {
-                path: display,
-                detail: format!("duplicate record for unit {}", record.unit),
-            });
-        }
-        if let Some(io) = self.io.as_mut() {
-            let mut line = serde_json::to_string(&record).map_err(|e| ExpError::Store {
-                path: display.clone(),
-                detail: format!("record serialization failed: {e}"),
-            })?;
-            line.push('\n');
-            io.write_all(line.as_bytes())
-                .map_err(|e| label_io_err(&display, e))?;
-            {
-                // fsync dominates append cost on real disks; give it its
-                // own span (and latency histogram) so `trace summary`
-                // separates storage stalls from compute.
-                let _fsync_span = mc_obs::span("store.fsync");
-                let t0 = mc_obs::is_enabled().then(mc_obs::now_ns);
-                io.sync_data().map_err(|e| label_io_err(&display, e))?;
-                if let Some(t0) = t0 {
-                    mc_obs::record_f64(
-                        "store.fsync_ns",
-                        mc_obs::now_ns().saturating_sub(t0) as f64,
-                    );
-                }
-            }
-        }
-        self.completed.insert(record.unit);
-        self.records.push(record);
-        Ok(())
+        self.append_batch(vec![record])
     }
 
-    /// [`Store::append`] with at-least-once semantics: an identical record
-    /// for an already-complete unit is silently skipped (`Ok(false)`), a
-    /// *conflicting* record for it is an error, and a new unit appends as
-    /// usual (`Ok(true)`). This is what lets a coordinator accept lease
-    /// redeliveries — a reclaimed-and-reassigned shard may legally resend
-    /// units its dead first owner already committed.
+    /// Group commit: validates the whole batch, writes one line per
+    /// record, `fsync`s once, and only then marks the units complete.
+    /// Once this returns `Ok`, every unit of the batch survives any
+    /// crash; until then none of them counts as complete, so a crash
+    /// mid-batch loses only records that were never acknowledged.
+    ///
+    /// Nothing is written unless every record passes: the unit range,
+    /// the seed contract, and no unit already in the store or twice in
+    /// the batch.
+    ///
+    /// # Errors
+    ///
+    /// Duplicate or out-of-contract records (the store is unchanged),
+    /// and I/O failures.
+    pub fn append_batch(&mut self, mut batch: Vec<UnitRecord>) -> Result<(), ExpError> {
+        self.commit(&mut batch)
+    }
+
+    /// [`Store::append_batch`] with at-least-once semantics, for the
+    /// coordinator's redelivered records. Records identical to one the
+    /// store holds, or to an earlier record of the batch, are benign
+    /// duplicates: they are removed from `batch` in place. A
+    /// *conflicting* payload for a unit is an error. The remaining new
+    /// records are group-committed and `batch` is left empty. Returns the
+    /// number of records appended; the duplicates are the rest.
+    ///
+    /// Every record is validated before any dedup decision or write, so
+    /// an error leaves the store unchanged unless it is an I/O failure.
     ///
     /// # Errors
     ///
     /// Conflicting duplicates, out-of-contract records, and I/O failures.
-    pub fn append_dedup(&mut self, record: UnitRecord) -> Result<bool, ExpError> {
-        validate_record(&record, &self.header.spec, &self.label)?;
-        if self.duplicate_of(&record)? {
-            return Ok(false);
+    pub fn append_dedup(&mut self, batch: &mut Vec<UnitRecord>) -> Result<usize, ExpError> {
+        for record in batch.iter() {
+            validate_record(record, &self.header.spec, &self.label)?;
         }
-        self.append(record)?;
-        Ok(true)
+        // Unit -> batch index of its first new record.
+        let mut first: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut keep = Vec::with_capacity(batch.len());
+        for (i, record) in batch.iter().enumerate() {
+            let duplicate = match first.get(&record.unit) {
+                Some(&j) if batch[j] == *record => true,
+                Some(_) => return Err(self.conflict(record.unit)),
+                None => self.duplicate_of(record)?,
+            };
+            if !duplicate {
+                first.insert(record.unit, i);
+            }
+            keep.push(!duplicate);
+        }
+        let mut keep = keep.into_iter();
+        batch.retain(|_| keep.next() == Some(true));
+        let appended = batch.len();
+        self.commit(batch)?;
+        Ok(appended)
+    }
+
+    /// The group commit behind [`Store::append_batch`] and
+    /// [`Store::append_dedup`]; drains `batch` into the store on success.
+    fn commit(&mut self, batch: &mut Vec<UnitRecord>) -> Result<(), ExpError> {
+        let _append_span = mc_obs::span("store.append");
+        let label = &self.label;
+        let mut units = BTreeSet::new();
+        for record in batch.iter() {
+            validate_record(record, &self.header.spec, label)?;
+            if self.completed.contains(&record.unit) || !units.insert(record.unit) {
+                return Err(ExpError::Store {
+                    path: label.clone(),
+                    detail: format!("duplicate record for unit {}", record.unit),
+                });
+            }
+        }
+        if let Some(io) = self.io.as_mut() {
+            // One write per line: serializing the whole batch into one
+            // buffer first would grow peak memory with the batch size.
+            for record in batch.iter() {
+                let mut line = serde_json::to_string(record).map_err(|e| ExpError::Store {
+                    path: label.clone(),
+                    detail: format!("record serialization failed: {e}"),
+                })?;
+                line.push('\n');
+                io.write_all(line.as_bytes())
+                    .map_err(|e| label_io_err(label, e))?;
+            }
+            // fsync dominates append cost on real disks; give it its own
+            // span (and latency histogram) so `trace summary` separates
+            // storage stalls from compute.
+            let _fsync_span = mc_obs::span("store.fsync");
+            let t0 = mc_obs::is_enabled().then(mc_obs::now_ns);
+            io.sync_data().map_err(|e| label_io_err(label, e))?;
+            if let Some(t0) = t0 {
+                mc_obs::record_f64("store.fsync_ns", mc_obs::now_ns().saturating_sub(t0) as f64);
+            }
+        }
+        for record in batch.drain(..) {
+            self.completed.insert(record.unit);
+            self.records.push(record);
+        }
+        Ok(())
     }
 
     /// The store's canonical text: the header line followed by every
@@ -851,17 +905,111 @@ mod tests {
     fn append_dedup_skips_identical_and_rejects_conflicts() {
         let s = spec();
         let mut store = Store::in_memory(&s);
-        assert!(store.append_dedup(record(&s, 0, 0.1)).unwrap());
+        assert_eq!(
+            store.append_dedup(&mut vec![record(&s, 0, 0.1)]).unwrap(),
+            1
+        );
         // At-least-once redelivery of the same unit is a no-op...
-        assert!(!store.append_dedup(record(&s, 0, 0.1)).unwrap());
+        assert_eq!(
+            store.append_dedup(&mut vec![record(&s, 0, 0.1)]).unwrap(),
+            0
+        );
         assert_eq!(store.records().len(), 1);
         // ...but a different payload for the same unit is corruption.
-        let err = store.append_dedup(record(&s, 0, 0.9)).unwrap_err();
+        let err = store
+            .append_dedup(&mut vec![record(&s, 0, 0.9)])
+            .unwrap_err();
         assert!(err.to_string().contains("conflicting records"), "{err}");
         // Contract validation still runs before the dedup decision.
         let mut bad = record(&s, 1, 0.2);
         bad.seed ^= 1;
-        assert!(store.append_dedup(bad).is_err());
+        assert!(store.append_dedup(&mut vec![bad]).is_err());
+    }
+
+    #[test]
+    fn append_dedup_drops_duplicates_within_a_batch_in_place() {
+        let s = spec();
+        let mut store = Store::in_memory(&s);
+        store.append(record(&s, 0, 0.1)).unwrap();
+        let mut batch = vec![
+            record(&s, 0, 0.1), // already in the store
+            record(&s, 1, 0.2),
+            record(&s, 1, 0.2), // an earlier record of the batch
+            record(&s, 2, 0.3),
+        ];
+        assert_eq!(store.append_dedup(&mut batch).unwrap(), 2);
+        assert!(batch.is_empty(), "the batch is drained into the store");
+        let units: Vec<usize> = store.records().iter().map(|r| r.unit).collect();
+        assert_eq!(units, vec![0, 1, 2]);
+        // A conflict inside one batch is caught before anything commits.
+        let mut batch = vec![record(&s, 3, 0.4), record(&s, 3, 0.5)];
+        let err = store.append_dedup(&mut batch).unwrap_err();
+        assert!(err.to_string().contains("conflicting records"), "{err}");
+        assert!(!store.is_complete(3));
+    }
+
+    #[test]
+    fn append_batch_writes_the_same_bytes_with_one_fsync() {
+        let s = spec();
+        let one_by_one = mc_fault::SimDisk::new();
+        let (mut store, _) =
+            Store::create_or_resume_io(Box::new(one_by_one.open()), "<one>", &s).unwrap();
+        for unit in [2, 0, 3] {
+            store.append(record(&s, unit, 0.5)).unwrap();
+        }
+        let batched = mc_fault::SimDisk::new();
+        let (mut store, _) =
+            Store::create_or_resume_io(Box::new(batched.open()), "<batch>", &s).unwrap();
+        let syncs_before = batched.stats().syncs;
+        store
+            .append_batch(vec![
+                record(&s, 2, 0.5),
+                record(&s, 0, 0.5),
+                record(&s, 3, 0.5),
+            ])
+            .unwrap();
+        assert_eq!(
+            batched.stats().syncs - syncs_before,
+            1,
+            "one fsync per batch"
+        );
+        assert_eq!(
+            batched.durable(),
+            one_by_one.durable(),
+            "same bytes, same order"
+        );
+        assert_eq!(store.completed_count(), 3);
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_the_file_unchanged() {
+        let s = spec();
+        let path = tmp("rejected-batch");
+        let _ = std::fs::remove_file(&path);
+        let (mut store, _) = Store::create_or_resume(&path, &s).unwrap();
+        store.append(record(&s, 0, 0.1)).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        let mut bad_seed = record(&s, 2, 0.3);
+        bad_seed.seed ^= 1;
+        let mut out_of_range = record(&s, 1, 0.2);
+        out_of_range.unit = 99;
+        let rejected = [
+            vec![record(&s, 1, 0.2), bad_seed],
+            vec![record(&s, 1, 0.2), out_of_range],
+            vec![record(&s, 1, 0.2), record(&s, 0, 0.1)], // in the store
+            vec![record(&s, 1, 0.2), record(&s, 1, 0.2)], // twice in the batch
+        ];
+        for batch in rejected {
+            assert!(store.append_batch(batch).is_err());
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+            assert_eq!(store.completed_count(), 1);
+        }
+        let mut conflicting = vec![record(&s, 1, 0.2), record(&s, 0, 0.9)];
+        assert!(store.append_dedup(&mut conflicting).is_err());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        assert!(!store.is_complete(1));
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -147,7 +147,11 @@ pub fn run_local_cluster(
     let cell = Arc::new(Mutex::new(String::new()));
 
     std::thread::scope(|s| {
-        let coordinator = bind_generation(&disk, cfg, cfg.plan.coordinator_kill_after)?;
+        let coordinator = Arc::new(bind_generation(
+            &disk,
+            cfg,
+            cfg.plan.coordinator_kill_after,
+        )?);
         *cell.lock().expect("address cell poisoned") = coordinator.local_addr().to_string();
 
         let worker_handles: Vec<_> = (0..cfg.workers)
@@ -167,7 +171,25 @@ pub fn run_local_cluster(
             .collect();
 
         let submit = |addr: String| s.spawn(move || wire::submit(&addr, spec));
-        let submit1 = submit(coordinator.local_addr().to_string());
+        let submit1 = {
+            let coordinator = Arc::clone(&coordinator);
+            let workers = cfg.workers;
+            s.spawn(move || {
+                // Submit once every worker has registered (or after ~10 s):
+                // the first assignment round then reaches all of them, so
+                // a planned worker death has a lease to fire in instead of
+                // racing the end of the campaign.
+                for _ in 0..10_000 {
+                    if coordinator.registered_workers() >= workers {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let addr = coordinator.local_addr().to_string();
+                drop(coordinator);
+                wire::submit(&addr, spec)
+            })
+        };
 
         let mut outcomes = Vec::new();
         let mut restarts = 0;
@@ -183,7 +205,9 @@ pub fn run_local_cluster(
                 outcomes.push(outcome);
                 restarts = 1;
                 // The first generation's listener and store handle must be
-                // gone before the crash is simulated on the disk.
+                // gone before the crash is simulated on the disk; the
+                // submitter holds the other reference until it returns.
+                check_submit(submit1)?;
                 drop(coordinator);
                 if cfg.torn_tail_on_resume {
                     inject_torn_tail(&disk);
@@ -212,12 +236,12 @@ pub fn run_local_cluster(
             Ok(outcome) => {
                 let canonical = coordinator.canonical_lines();
                 cell.lock().expect("address cell poisoned").clear();
+                check_submit(submit1)?;
                 drop(coordinator);
                 (canonical, outcome)
             }
         };
         outcomes.push(last);
-        check_submit(submit1)?;
 
         let mut workers = Vec::new();
         for handle in worker_handles {

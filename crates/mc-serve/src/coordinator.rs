@@ -1,6 +1,7 @@
 //! The coordinator: a std-only TCP service that owns one campaign at a
 //! time, fans its leases out to workers, and checkpoints every accepted
-//! record through the crash-safe mc-exp store.
+//! record through the crash-safe mc-exp store, one group commit per run
+//! of buffered `Record` frames.
 //!
 //! Concurrency shape: one accept loop ([`Coordinator::run`]), one reader
 //! thread per connection, one sweeper thread for heartbeat timeouts. All
@@ -17,15 +18,16 @@
 //! against timing.
 
 use crate::lease::LeaseTable;
-use crate::wire::{read_frame, write_frame, Message};
+use crate::stop::StopFlag;
+use crate::wire::{frame_buffered, read_frame, write_frame, Message};
 use crate::ServeError;
 use mc_exp::accounting::one_shard_progress;
 use mc_exp::run::Shard;
 use mc_exp::store::ResumeInfo;
 use mc_exp::{CampaignSpec, ExpError, Store, UnitRecord};
 use std::collections::BTreeMap;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -109,8 +111,8 @@ struct Inner {
     cfg: CoordinatorConfig,
     addr: SocketAddr,
     hub: Mutex<Hub>,
-    /// Once set, the accept loop, readers, and sweeper all wind down.
-    stopping: AtomicBool,
+    /// Once raised, the accept loop, readers, and sweeper all wind down.
+    stopping: StopFlag,
 }
 
 /// The campaign coordinator. Bind, optionally preload a campaign, then
@@ -145,7 +147,7 @@ impl Coordinator {
                 killed: false,
                 error: None,
             }),
-            stopping: AtomicBool::new(false),
+            stopping: StopFlag::default(),
         });
         Ok(Coordinator { listener, inner })
     }
@@ -168,7 +170,7 @@ impl Coordinator {
         hub.assign_idle();
         if hub.campaign_complete() {
             hub.finish();
-            self.inner.stopping.store(true, Ordering::SeqCst);
+            self.inner.stopping.raise();
         }
         Ok(accepted)
     }
@@ -185,18 +187,18 @@ impl Coordinator {
         let sweeper = std::thread::spawn(move || inner.sweep_loop());
         // Check `stopping` before each accept: a preloaded, already-
         // complete campaign must return without waiting for a connection.
-        while !self.inner.stopping.load(Ordering::SeqCst) {
+        while !self.inner.stopping.is_raised() {
             let Ok((stream, _peer)) = self.listener.accept() else {
                 continue;
             };
-            if self.inner.stopping.load(Ordering::SeqCst) {
+            if self.inner.stopping.is_raised() {
                 break;
             }
             let _ = stream.set_nodelay(true);
             let inner = Arc::clone(&self.inner);
             std::thread::spawn(move || inner.serve_conn(stream));
         }
-        self.inner.stopping.store(true, Ordering::SeqCst);
+        self.inner.stopping.raise();
         let _ = sweeper.join();
         let mut hub = self.inner.lock_hub();
         // A clean completion leaves no sockets behind; a crash already
@@ -217,6 +219,13 @@ impl Coordinator {
             Some(e) => Err(e),
             None => Ok(outcome),
         }
+    }
+
+    /// Workers registered right now (a `Hello` received, connection not
+    /// yet dropped).
+    #[must_use]
+    pub(crate) fn registered_workers(&self) -> usize {
+        self.inner.lock_hub().workers.len()
     }
 
     /// The canonical text of the checkpoint store (header + records
@@ -240,7 +249,7 @@ impl Inner {
     }
 
     fn stop(&self) {
-        self.stopping.store(true, Ordering::SeqCst);
+        self.stopping.raise();
         self.poke();
     }
 
@@ -249,8 +258,9 @@ impl Inner {
     /// network — the failure EOF detection cannot see).
     fn sweep_loop(&self) {
         let interval = (self.cfg.heartbeat_timeout / 4).max(Duration::from_millis(5));
-        while !self.stopping.load(Ordering::SeqCst) {
-            std::thread::sleep(interval);
+        // `stop` raises the flag, which ends the sleep at once: `run`
+        // joins this thread and must not wait out a whole interval.
+        while !self.stopping.sleep(interval) {
             let mut hub = self.lock_hub();
             let timeout = self.cfg.heartbeat_timeout;
             let silent: Vec<u64> = hub
@@ -269,25 +279,114 @@ impl Inner {
     /// `Hello` (submissions never register); after that, its death —
     /// clean EOF, reset, or protocol garbage — drops the worker and
     /// reclaims its lease.
+    ///
+    /// A registered worker's `Record` frames are collected, not handled
+    /// one by one: every record already buffered is committed as one
+    /// group commit before any other frame is handled, before the loop
+    /// blocks on the socket, and before the connection is dropped.
     fn serve_conn(&self, stream: TcpStream) {
-        let Ok(mut reader) = stream.try_clone() else {
+        let Ok(read_half) = stream.try_clone() else {
             return;
         };
+        let mut reader = BufReader::new(read_half);
         let mut worker_id: Option<u64> = None;
-        while let Ok(Some(msg)) = read_frame(&mut reader) {
-            if !self.handle(msg, &mut worker_id, &stream) {
+        let mut records = Vec::new();
+        loop {
+            if !frame_buffered(reader.buffer()) && !self.commit(&mut records, worker_id) {
+                break;
+            }
+            let Ok(Some(msg)) = read_frame(&mut reader) else {
+                break;
+            };
+            let open = match msg {
+                Message::Record { record, .. } if worker_id.is_some() => {
+                    records.push(record);
+                    true
+                }
+                msg => {
+                    self.commit(&mut records, worker_id)
+                        && self.handle(msg, &mut worker_id, &stream)
+                }
+            };
+            if !open {
                 break;
             }
         }
+        self.commit(&mut records, worker_id);
         if let Some(id) = worker_id {
             self.lock_hub().drop_worker(id, "connection closed");
         }
     }
 
+    /// Commits a worker's collected records with one `append_dedup`
+    /// batch. Returns `false` to close the connection: the campaign
+    /// completed, the crash knob fired, or the store failed.
+    fn commit(&self, records: &mut Vec<UnitRecord>, worker_id: Option<u64>) -> bool {
+        if records.is_empty() {
+            return true;
+        }
+        let mut hub = self.lock_hub();
+        if self.stopping.is_raised() {
+            records.clear();
+            return false;
+        }
+        if let Some(w) = worker_id.and_then(|id| hub.workers.get_mut(&id)) {
+            w.last_seen = Instant::now();
+        }
+        let accepted = match self.cfg.die_after_records {
+            None => hub.accept_records(records),
+            // Cut the batch at the remaining allowance so the knob fires
+            // after exactly `limit` new records, as if they had arrived
+            // one at a time; whatever follows the cut is never committed.
+            Some(limit) => loop {
+                let allowance = usize::try_from(limit.saturating_sub(hub.records))
+                    .unwrap_or(usize::MAX)
+                    .max(1);
+                let mut head: Vec<UnitRecord> =
+                    records.drain(..allowance.min(records.len())).collect();
+                let accepted = hub.accept_records(&mut head);
+                if accepted.is_err() || hub.records >= limit || records.is_empty() {
+                    records.clear();
+                    break accepted;
+                }
+            },
+        };
+        if let Err(e) = accepted {
+            // A conflicting or unappendable record poisons the campaign:
+            // stop serving rather than commit a store two workers
+            // disagree about.
+            hub.error = Some(e);
+            hub.slam_connections();
+            drop(hub);
+            self.stop();
+            return false;
+        }
+        if self
+            .cfg
+            .die_after_records
+            .is_some_and(|limit| hub.records >= limit)
+        {
+            // Simulated SIGKILL: no goodbyes, no flushing — every socket
+            // is slammed shut and `run` returns with `killed`.
+            hub.killed = true;
+            hub.slam_connections();
+            drop(hub);
+            self.stop();
+            return false;
+        }
+        if hub.campaign_complete() {
+            hub.finish();
+            drop(hub);
+            self.stop();
+            return false;
+        }
+        true
+    }
+
     /// Dispatches one frame. Returns `false` to close the connection.
     fn handle(&self, msg: Message, worker_id: &mut Option<u64>, reply: &TcpStream) -> bool {
         let mut hub = self.lock_hub();
-        if self.stopping.load(Ordering::SeqCst) {
+        if self.stopping.is_raised() {
             return false;
         }
         match msg {
@@ -343,44 +442,9 @@ impl Inner {
                 }
                 true
             }
-            Message::Record { lease, record } => {
-                let Some(id) = *worker_id else { return false };
-                if let Some(w) = hub.workers.get_mut(&id) {
-                    w.last_seen = Instant::now();
-                }
-                match hub.accept_record(lease, record) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        // A conflicting or unappendable record poisons the
-                        // campaign: stop serving rather than commit a store
-                        // two workers disagree about.
-                        hub.error = Some(e);
-                        hub.slam_connections();
-                        drop(hub);
-                        self.stop();
-                        return false;
-                    }
-                }
-                if let Some(limit) = self.cfg.die_after_records {
-                    if hub.records >= limit {
-                        // Simulated SIGKILL: no goodbyes, no flushing —
-                        // every socket is slammed shut and `run` returns
-                        // with `killed`.
-                        hub.killed = true;
-                        hub.slam_connections();
-                        drop(hub);
-                        self.stop();
-                        return false;
-                    }
-                }
-                if hub.campaign_complete() {
-                    hub.finish();
-                    drop(hub);
-                    self.stop();
-                    return false;
-                }
-                true
-            }
+            // A registered worker's records are batched by `serve_conn`;
+            // one sent before `Hello` is out of protocol.
+            Message::Record { .. } => false,
             Message::LeaseDone { lease } => {
                 let Some(id) = *worker_id else { return false };
                 hub.lease_done(id, lease as usize);
@@ -448,21 +512,21 @@ impl Hub {
         Ok((total, completed))
     }
 
-    /// Appends a worker's record to the checkpoint, tolerating benign
-    /// redelivery.
-    fn accept_record(&mut self, _lease: u64, record: UnitRecord) -> Result<(), ServeError> {
+    /// Group-commits a worker's records to the checkpoint, tolerating
+    /// benign redelivery; `records` is left empty.
+    fn accept_records(&mut self, records: &mut Vec<UnitRecord>) -> Result<(), ServeError> {
         let Some(active) = self.campaign.as_mut() else {
-            // A record for a campaign this (restarted) coordinator never
-            // activated: drop it; the worker will be reassigned.
+            // Records for a campaign this (restarted) coordinator never
+            // activated: drop them; the worker will be reassigned.
+            records.clear();
             return Ok(());
         };
-        if active.store.append_dedup(record)? {
-            self.records += 1;
-            mc_obs::counter("serve.records", 1);
-        } else {
-            self.duplicates += 1;
-            mc_obs::counter("serve.duplicates", 1);
-        }
+        let received = records.len() as u64;
+        let appended = active.store.append_dedup(records)? as u64;
+        self.records += appended;
+        self.duplicates += received - appended;
+        mc_obs::counter("serve.records", appended);
+        mc_obs::counter("serve.duplicates", received - appended);
         Ok(())
     }
 
@@ -643,9 +707,8 @@ mod tests {
         Box::new(|spec: &CampaignSpec| Ok((Store::in_memory(spec), ResumeInfo::default())))
     }
 
-    #[test]
-    fn submit_is_idempotent_and_rejects_a_second_campaign() {
-        let mut hub = Hub {
+    fn memory_hub() -> Hub {
+        Hub {
             opener: memory_opener(),
             workers: BTreeMap::new(),
             next_worker_id: 0,
@@ -656,7 +719,23 @@ mod tests {
             completed: false,
             killed: false,
             error: None,
-        };
+        }
+    }
+
+    fn unit_record(spec: &CampaignSpec, unit: usize, value: f64) -> UnitRecord {
+        let u = spec.unit(unit);
+        UnitRecord {
+            unit: u.index,
+            point: u.point,
+            replica: u.replica,
+            seed: u.seed,
+            metrics: vec![Metric::new("value", value)],
+        }
+    }
+
+    #[test]
+    fn submit_is_idempotent_and_rejects_a_second_campaign() {
+        let mut hub = memory_hub();
         let cfg = CoordinatorConfig::default();
         let spec = tiny_spec();
         assert_eq!(hub.activate(&spec, &cfg).unwrap(), (5, 0));
@@ -671,34 +750,74 @@ mod tests {
 
     #[test]
     fn records_dedup_and_count_through_the_hub() {
-        let mut hub = Hub {
-            opener: memory_opener(),
-            workers: BTreeMap::new(),
-            next_worker_id: 0,
-            campaign: None,
-            records: 0,
-            duplicates: 0,
-            reclaims: 0,
-            completed: false,
-            killed: false,
-            error: None,
-        };
+        let mut hub = memory_hub();
         let spec = tiny_spec();
         hub.activate(&spec, &CoordinatorConfig::default()).unwrap();
-        let u = spec.unit(0);
-        let record = UnitRecord {
-            unit: u.index,
-            point: u.point,
-            replica: u.replica,
-            seed: u.seed,
-            metrics: vec![Metric::new("value", 1.0)],
-        };
-        hub.accept_record(0, record.clone()).unwrap();
-        hub.accept_record(0, record.clone()).unwrap();
+        let record = unit_record(&spec, 0, 1.0);
+        hub.accept_records(&mut vec![record.clone()]).unwrap();
+        hub.accept_records(&mut vec![record.clone()]).unwrap();
         assert_eq!((hub.records, hub.duplicates), (1, 1));
         let mut conflict = record;
         conflict.metrics[0].value = 2.0;
-        assert!(hub.accept_record(0, conflict).is_err());
+        assert!(hub.accept_records(&mut vec![conflict]).is_err());
+    }
+
+    #[test]
+    fn a_batch_with_an_identical_duplicate_counts_exactly() {
+        let mut hub = memory_hub();
+        let spec = tiny_spec();
+        hub.activate(&spec, &CoordinatorConfig::default()).unwrap();
+        let (r0, r1, r2) = (
+            unit_record(&spec, 0, 0.5),
+            unit_record(&spec, 1, 0.5),
+            unit_record(&spec, 2, 0.5),
+        );
+        let mut batch = vec![r0.clone(), r1.clone(), r0.clone()];
+        hub.accept_records(&mut batch).unwrap();
+        assert!(batch.is_empty());
+        assert_eq!((hub.records, hub.duplicates), (2, 1));
+        // A redelivered record from an earlier batch is a duplicate too.
+        hub.accept_records(&mut vec![r1, r2]).unwrap();
+        assert_eq!((hub.records, hub.duplicates), (3, 2));
+        let store = &hub.campaign.as_ref().unwrap().store;
+        let units: Vec<usize> = store.records().iter().map(|r| r.unit).collect();
+        assert_eq!(units, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn the_crash_knob_cuts_a_batch_at_its_allowance() {
+        // A real listener, so `stop`'s wake-up connection has a target.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let inner = Inner {
+            cfg: CoordinatorConfig {
+                die_after_records: Some(2),
+                ..CoordinatorConfig::default()
+            },
+            addr: listener.local_addr().unwrap(),
+            hub: Mutex::new(memory_hub()),
+            stopping: StopFlag::default(),
+        };
+        let spec = tiny_spec();
+        inner.lock_hub().activate(&spec, &inner.cfg).unwrap();
+        // The duplicate does not count toward the allowance; the third
+        // new record lies past the cut and is never committed.
+        let mut batch = vec![
+            unit_record(&spec, 0, 0.5),
+            unit_record(&spec, 0, 0.5),
+            unit_record(&spec, 1, 0.5),
+            unit_record(&spec, 2, 0.5),
+        ];
+        assert!(
+            !inner.commit(&mut batch, None),
+            "the knob closes the connection"
+        );
+        assert!(batch.is_empty());
+        let hub = inner.lock_hub();
+        assert!(hub.killed && !hub.completed);
+        assert_eq!((hub.records, hub.duplicates), (2, 1));
+        let store = &hub.campaign.as_ref().unwrap().store;
+        assert!(store.is_complete(1) && !store.is_complete(2));
+        assert!(inner.stopping.is_raised());
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! uses — and assigns one lease at a time to each connected worker.
 //! Workers recompute nothing the coordinator already holds: an
 //! assignment carries the lease's already-complete unit indices, and the
-//! coordinator's own result store *is* its checkpoint — the fsync-per-
-//! record, torn-tail-recovering mc-exp store, so killing the coordinator
-//! loses at most one in-flight record and a restart resumes mid-campaign.
+//! coordinator's own result store *is* its checkpoint — the
+//! group-committing, torn-tail-recovering mc-exp store. Each connection
+//! is read through a buffer, and the `Record` frames already buffered are
+//! committed with one fsync, so killing the coordinator loses at most
+//! the batch being committed (none of it acknowledged) and a restart
+//! resumes mid-campaign.
 //!
 //! Failure model: workers die abruptly (connection drop or heartbeat
 //! silence) and their leases are reclaimed and reassigned; redelivered
@@ -24,7 +27,8 @@
 //!   `Record`/…) and its framing.
 //! * [`lease`] — the pure Pending → Assigned → Done lease state machine.
 //! * [`coordinator`] — the TCP service: accept loop, per-connection
-//!   readers, heartbeat sweeper, checkpoint store.
+//!   buffered readers that group-commit records, heartbeat sweeper,
+//!   checkpoint store.
 //! * [`worker`] — the worker loop: connect-with-retry, lease execution
 //!   over an [`mc_par::WorkerPool`], in-order record streaming.
 //! * [`cluster`] — the in-process "local cluster" harness (coordinator +
@@ -39,6 +43,7 @@
 pub mod cluster;
 pub mod coordinator;
 pub mod lease;
+mod stop;
 pub mod wire;
 pub mod worker;
 

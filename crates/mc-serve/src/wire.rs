@@ -11,7 +11,7 @@
 use crate::ServeError;
 use mc_exp::{CampaignSpec, UnitRecord};
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on one frame's payload. Specs embed their full point list,
@@ -104,6 +104,8 @@ pub fn write_frame(w: &mut dyn Write, msg: &Message) -> Result<(), ServeError> {
 
 /// Reads one frame. `Ok(None)` is a clean EOF at a frame boundary (the
 /// peer closed in an orderly way); a torn frame is a protocol error.
+/// The length prefix is read a byte at a time, so sockets should be
+/// wrapped in a [`BufReader`] to keep that to one syscall per buffer.
 ///
 /// # Errors
 ///
@@ -153,6 +155,28 @@ pub fn read_frame(r: &mut dyn Read) -> Result<Option<Message>, ServeError> {
         .map_err(|e| ServeError::Protocol(format!("frame does not parse: {e}")))
 }
 
+/// Whether `buf` — the unread bytes of a buffered reader — already holds
+/// one whole frame, so [`read_frame`] can return without touching the
+/// socket. A malformed prefix also counts: `read_frame` rejects it without
+/// reading further.
+#[must_use]
+pub(crate) fn frame_buffered(buf: &[u8]) -> bool {
+    let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
+        return false;
+    };
+    let prefix = &buf[..nl];
+    if prefix.is_empty() || !prefix.iter().all(u8::is_ascii_digit) {
+        return true;
+    }
+    let len = prefix.iter().try_fold(0usize, |l, &d| {
+        l.checked_mul(10)?
+            .checked_add(usize::from(d - b'0'))
+            .filter(|&l| l <= MAX_FRAME)
+    });
+    // An oversized length fails in `read_frame` before any payload read.
+    len.is_none_or(|len| buf.len() - (nl + 1) > len)
+}
+
 /// Submits a campaign to a coordinator and returns its `Accepted` reply
 /// (fingerprint, total units, units already complete).
 ///
@@ -162,7 +186,7 @@ pub fn read_frame(r: &mut dyn Read) -> Result<Option<Message>, ServeError> {
 pub fn submit(addr: &str, spec: &CampaignSpec) -> Result<(String, usize, usize), ServeError> {
     let mut stream = TcpStream::connect(addr)?;
     write_frame(&mut stream, &Message::Submit { spec: spec.clone() })?;
-    match read_frame(&mut stream)? {
+    match read_frame(&mut BufReader::new(&stream))? {
         Some(Message::Accepted {
             fingerprint,
             total_units,
@@ -289,5 +313,55 @@ mod tests {
             read_frame(&mut &bad[..]),
             Err(ServeError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn buffered_reads_decode_back_to_back_and_still_reject_bad_frames() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Message::Heartbeat).unwrap();
+        write_frame(&mut buf, &Message::LeaseDone { lease: 9 }).unwrap();
+        let mut r = BufReader::new(&buf[..]);
+        assert_eq!(read_frame(&mut r).unwrap(), Some(Message::Heartbeat));
+        assert!(
+            frame_buffered(r.buffer()),
+            "the second frame is already read in"
+        );
+        assert_eq!(
+            read_frame(&mut r).unwrap(),
+            Some(Message::LeaseDone { lease: 9 })
+        );
+        assert!(!frame_buffered(r.buffer()));
+        assert_eq!(read_frame(&mut r).unwrap(), None);
+
+        // A torn second frame fails after the first decodes.
+        let torn = &buf[..buf.len() - 3];
+        let mut r = BufReader::new(torn);
+        assert_eq!(read_frame(&mut r).unwrap(), Some(Message::Heartbeat));
+        assert!(!frame_buffered(r.buffer()), "a torn frame is not whole");
+        assert!(matches!(read_frame(&mut r), Err(ServeError::Protocol(_))));
+
+        // An oversized length fails at the prefix, behind a whole frame.
+        let mut oversized = Vec::new();
+        write_frame(&mut oversized, &Message::Heartbeat).unwrap();
+        oversized.extend_from_slice(format!("{}\n", MAX_FRAME + 1).as_bytes());
+        let mut r = BufReader::new(&oversized[..]);
+        assert_eq!(read_frame(&mut r).unwrap(), Some(Message::Heartbeat));
+        assert!(
+            frame_buffered(r.buffer()),
+            "a bad prefix fails without blocking"
+        );
+        assert!(matches!(read_frame(&mut r), Err(ServeError::Protocol(_))));
+    }
+
+    #[test]
+    fn frame_buffered_needs_the_whole_payload_and_its_newline() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Message::LeaseDone { lease: 3 }).unwrap();
+        for cut in 0..buf.len() {
+            assert!(!frame_buffered(&buf[..cut]), "cut at {cut}");
+        }
+        assert!(frame_buffered(&buf));
+        assert!(frame_buffered(b"1x\n"), "garbage fails fast in read_frame");
+        assert!(frame_buffered(b"\n"));
     }
 }

@@ -9,6 +9,7 @@
 //! state that spans reconnects is the retry budget and the
 //! simulated-death record counter.
 
+use crate::stop::StopFlag;
 use crate::wire::{read_frame, write_frame, Message};
 use crate::ServeError;
 use mc_exp::run::Shard;
@@ -16,9 +17,9 @@ use mc_exp::spec::WorkUnit;
 use mc_exp::store::UnitRecord;
 use mc_exp::{CampaignSpec, ExpError, UnitRunner};
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::BufReader;
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -223,18 +224,19 @@ fn session(
     summary: &mut WorkerSummary,
     sent_total: &mut u64,
 ) -> Result<SessionEnd, ServeError> {
-    let mut reader = stream.try_clone()?;
+    let mut reader = BufReader::new(stream.try_clone()?);
     let writer = Arc::new(Mutex::new(stream));
-    let alive = Arc::new(AtomicBool::new(true));
+    let ended = Arc::new(StopFlag::default());
 
     let hb_writer = Arc::clone(&writer);
-    let hb_alive = Arc::clone(&alive);
+    let hb_ended = Arc::clone(&ended);
     let hb_interval = cfg.heartbeat;
     let heartbeat = std::thread::spawn(move || {
         let step = (hb_interval / 4).max(Duration::from_millis(5));
         let mut since_beat = Duration::ZERO;
-        while hb_alive.load(Ordering::SeqCst) {
-            std::thread::sleep(step);
+        // The session's end raises `ended`, cutting the sleep short so
+        // the join below does not wait out a step.
+        while !hb_ended.sleep(step) {
             since_beat += step;
             if since_beat < hb_interval {
                 continue;
@@ -249,7 +251,7 @@ fn session(
 
     let end = session_inner(&mut reader, &writer, cfg, factory, summary, sent_total);
 
-    alive.store(false, Ordering::SeqCst);
+    ended.raise();
     {
         let w = writer.lock().expect("writer poisoned");
         let _ = w.shutdown(Shutdown::Both);
@@ -259,7 +261,7 @@ fn session(
 }
 
 fn session_inner(
-    reader: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     writer: &Arc<Mutex<TcpStream>>,
     cfg: &WorkerConfig,
     factory: &dyn RunnerFactory,

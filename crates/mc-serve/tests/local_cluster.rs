@@ -281,3 +281,25 @@ fn a_zombie_worker_is_timed_out_and_its_lease_reclaimed() {
     assert!(outcome.reclaims >= 1, "the zombie's lease was reclaimed");
     assert_eq!(coordinator.canonical_lines().unwrap(), serial_canonical(&s));
 }
+
+/// Shutdown does not wait on the liveness loops: at a 60 s heartbeat
+/// timeout the coordinator's sweeper sleeps 15 s per tick and each
+/// worker's heartbeat thread 5 s, yet a finished campaign must return
+/// (workers joined and all) as soon as its last record is durable.
+#[test]
+fn a_long_heartbeat_timeout_does_not_delay_shutdown() {
+    let s = spec(4, 3);
+    let cfg = LocalClusterConfig {
+        heartbeat_timeout: Duration::from_secs(60),
+        ..base_config(2, ClusterPlan::calm(2))
+    };
+    let t0 = Instant::now();
+    let report = run_local_cluster(&s, &SeedFactory, &cfg).unwrap();
+    let took = t0.elapsed();
+    assert!(report.final_outcome().completed);
+    assert_eq!(report.canonical, serial_canonical(&s));
+    assert!(
+        took < Duration::from_secs(5),
+        "the cluster took {took:?} to finish and shut down"
+    );
+}

@@ -124,8 +124,9 @@ USAGE:
       Drive the result store through <count> seed-derived crash schedules
       (run → crash → resume → merge on a simulated disk, each session
       crashing within its first <m> I/O operations) and check the crash
-      invariant plus canonical byte identity. Any violation is printed
-      with the schedule seed that reproduces it; exits non-zero.
+      invariant plus canonical byte identity. A quarter of the seeds
+      group-commit their units in seed-derived batches. Any violation is
+      printed with the schedule seed that reproduces it; exits non-zero.
 
   chebymc --version
       Print the version.
@@ -830,8 +831,12 @@ fn fault_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     };
     let report = sweep(&cfg);
     println!(
-        "fault sweep: {} schedules, {} sessions, {} crashes, {} injected errors",
-        report.schedules, report.cycles, report.crashes, report.injected_errors
+        "fault sweep: {} schedules, {} sessions, {} crashes, {} injected errors, {} batch commits",
+        report.schedules,
+        report.cycles,
+        report.crashes,
+        report.injected_errors,
+        report.batch_commits
     );
     if report.ok() {
         println!("invariant held across every schedule");

@@ -9,6 +9,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 fn chebymc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_chebymc"))
@@ -45,14 +46,21 @@ fn run_tiny(store: &Path, extra: &[&str]) -> Output {
     out
 }
 
-/// The uninterrupted reference store for this process, built once.
+/// The uninterrupted reference store for this process, built once: the
+/// tests run on parallel threads, and each rebuilding it at the same
+/// temp path would delete the others' store mid-run.
 fn reference_store() -> Vec<u8> {
-    let store = tmp("reference.jsonl");
-    let _ = std::fs::remove_file(&store);
-    run_tiny(&store, &[]);
-    let bytes = std::fs::read(&store).expect("store written");
-    std::fs::remove_file(&store).unwrap();
-    bytes
+    static REFERENCE: OnceLock<Vec<u8>> = OnceLock::new();
+    REFERENCE
+        .get_or_init(|| {
+            let store = tmp("reference.jsonl");
+            let _ = std::fs::remove_file(&store);
+            run_tiny(&store, &[]);
+            let bytes = std::fs::read(&store).expect("store written");
+            std::fs::remove_file(&store).unwrap();
+            bytes
+        })
+        .clone()
 }
 
 #[test]
