@@ -299,6 +299,74 @@ fn simulate_rejects_bad_flags() {
     let _ = std::fs::remove_file(&raw);
 }
 
+/// The full `simulate` report of each `--policy` spelling on one designed
+/// workload, so a change in how the flag maps onto the simulator shows up
+/// as a diff.
+#[test]
+fn simulate_policies_print_pinned_reports() {
+    let raw = tmp("policies-raw.json");
+    let designed = tmp("policies-designed.json");
+    let (raw_s, designed_s) = (raw.to_str().unwrap(), designed.to_str().unwrap());
+    let out = chebymc(&["generate", "--u", "0.7", "--seed", "4", "-o", raw_s]);
+    assert!(out.status.success());
+    let out = chebymc(&["design", raw_s, "--uniform-n", "2", "-o", designed_s]);
+    assert!(out.status.success());
+    let head = "simulated `synthetic-u0.7-seed4` for 20 s:\n  \
+                jobs released        = 171 HC + 109 LC\n";
+    let tail = "  time in HI mode      = 0.00 %\n  processor busy       = 22.31 %\n";
+    let cases = [
+        (
+            "drop",
+            "  mode switches        = 4\n  \
+             HC deadline misses   = 0\n  \
+             LC deadline misses   = 0\n  \
+             LC lost to HI mode   = 1\n  \
+             LC degraded          = 0\n",
+        ),
+        (
+            "degrade:0.5",
+            "  mode switches        = 4\n  \
+             HC deadline misses   = 0\n  \
+             LC deadline misses   = 0\n  \
+             LC lost to HI mode   = 0\n  \
+             LC degraded          = 1\n",
+        ),
+        (
+            "combined:0.5",
+            "  mode switches        = 0\n  \
+             task-level switches  = 4\n  \
+             HC deadline misses   = 0\n  \
+             LC deadline misses   = 0\n  \
+             LC lost to HI mode   = 0\n  \
+             LC degraded          = 0\n",
+        ),
+    ];
+    for (policy, body) in cases {
+        let out = chebymc(&[
+            "simulate",
+            designed_s,
+            "--seconds",
+            "20",
+            "--seed",
+            "3",
+            "--policy",
+            policy,
+        ]);
+        assert!(out.status.success(), "{policy}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout, format!("{head}{body}{tail}"), "--policy {policy}");
+    }
+    for (policy, offending) in [("degrade:1.5", "`1.5`"), ("combined:NaN", "`NaN`")] {
+        let out = chebymc(&["simulate", designed_s, "--policy", policy]);
+        assert!(!out.status.success(), "{policy} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(offending), "{policy}: {first}");
+    }
+    let _ = std::fs::remove_file(&raw);
+    let _ = std::fs::remove_file(&designed);
+}
+
 #[test]
 fn fault_sweep_runs_clean_and_reports_counts() {
     let out = chebymc(&[
