@@ -68,7 +68,7 @@ fn bench_lc_policies(c: &mut Criterion) {
 }
 
 fn bench_multi_level(c: &mut Criterion) {
-    use mc_sched::sim::{simulate_multi, MultiExecModel, MultiSimConfig};
+    use mc_sched::sim::{simulate_multi, MultiSimConfig};
     use mc_task::multi::{MultiTask, MultiTaskSet};
     use mc_task::TaskId;
     let ms = Duration::from_millis;
@@ -91,7 +91,7 @@ fn bench_multi_level(c: &mut Criterion) {
         .unwrap();
     let cfg = MultiSimConfig {
         horizon: Duration::from_secs(10),
-        exec_model: MultiExecModel::FullTopBudget,
+        exec_model: JobExecModel::FullHiBudget,
         seed: 1,
     };
     c.bench_function("simulator_multi_level_10s", |b| {

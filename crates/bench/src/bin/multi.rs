@@ -7,7 +7,7 @@
 use chebymc_bench::{pct, Table};
 use chebymc_core::multi::MultiScheme;
 use mc_sched::analysis::multi::analyze;
-use mc_sched::sim::{simulate_multi, MultiExecModel, MultiSimConfig};
+use mc_sched::sim::{simulate_multi, JobExecModel, MultiSimConfig};
 use mc_task::multi::{MultiTask, MultiTaskSet};
 use mc_task::time::Duration;
 use mc_task::{ExecutionProfile, TaskId};
@@ -112,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &ts,
             &MultiSimConfig {
                 horizon: Duration::from_secs(20),
-                exec_model: MultiExecModel::Profile,
+                exec_model: JobExecModel::Profile,
                 seed,
             },
         )?;

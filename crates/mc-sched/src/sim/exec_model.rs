@@ -1,11 +1,15 @@
 //! Per-job execution-time models for simulation.
 
 use mc_task::time::Duration;
-use mc_task::McTask;
+use mc_task::{ExecutionProfile, McTask};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// How the simulator draws each job's actual execution time.
+///
+/// Draws are taken against a task's budget in mode 0 (`C_LO`) and its
+/// budget at its own level (`C_HI`); in an L-level system those are
+/// `C(0)` and `C(ℓ)`, and "HC" means any level above 0.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum JobExecModel {
     /// Every job runs exactly its LO-mode budget `C_LO`: the boundary case
@@ -44,19 +48,39 @@ impl JobExecModel {
     /// The result is always in `[1 ns, C_HI]` — a sound pessimistic WCET is
     /// never exceeded.
     pub fn draw<R: Rng + ?Sized>(&self, task: &McTask, rng: &mut R) -> Duration {
+        self.draw_between(
+            task.c_lo(),
+            task.c_hi(),
+            task.is_high(),
+            task.profile(),
+            rng,
+        )
+    }
+
+    /// Draws one job's execution time for a task with mode-0 budget `lo`,
+    /// top budget `hi`, criticality above level 0 when `high`, and an
+    /// optional profile; the result lies in `[1 ns, hi]`.
+    pub(crate) fn draw_between<R: Rng + ?Sized>(
+        &self,
+        lo: Duration,
+        hi: Duration,
+        high: bool,
+        profile: Option<&ExecutionProfile>,
+        rng: &mut R,
+    ) -> Duration {
         let one = Duration::from_nanos(1);
-        let clamp = |d: Duration| d.clamp(one, task.c_hi());
+        let clamp = |d: Duration| d.clamp(one, hi);
         match self {
-            JobExecModel::FullLoBudget => clamp(task.c_lo()),
+            JobExecModel::FullLoBudget => clamp(lo),
             JobExecModel::FullHiBudget => {
-                if task.is_high() {
-                    clamp(task.c_hi())
+                if high {
+                    clamp(hi)
                 } else {
-                    clamp(task.c_lo())
+                    clamp(lo)
                 }
             }
-            JobExecModel::FractionOfLo(f) => clamp(task.c_lo().mul_f64(*f)),
-            JobExecModel::Profile => match task.profile() {
+            JobExecModel::FractionOfLo(f) => clamp(lo.mul_f64(*f)),
+            JobExecModel::Profile => match profile {
                 Some(p) => {
                     let sigma = p.sigma().max(0.0);
                     let x = if let Some(fit) = p.weibull() {
@@ -84,18 +108,18 @@ impl JobExecModel {
                         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
                         p.acet() + sigma * z
                     };
-                    clamp(Duration::try_from_nanos_f64_ceil(x.max(1.0)).unwrap_or(task.c_hi()))
+                    clamp(Duration::try_from_nanos_f64_ceil(x.max(1.0)).unwrap_or(hi))
                 }
                 None => {
                     let f = 0.5 + 0.5 * rng.random::<f64>();
-                    clamp(task.c_lo().mul_f64(f))
+                    clamp(lo.mul_f64(f))
                 }
             },
             JobExecModel::OverrunWithProbability(p) => {
-                if task.is_high() && rng.random::<f64>() < *p {
-                    clamp(task.c_hi())
+                if high && rng.random::<f64>() < *p {
+                    clamp(hi)
                 } else {
-                    clamp(task.c_lo().mul_f64(0.9))
+                    clamp(lo.mul_f64(0.9))
                 }
             }
         }

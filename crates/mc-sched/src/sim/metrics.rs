@@ -1,4 +1,4 @@
-//! Simulation outcome metrics.
+//! Simulation outcome metrics, for dual-criticality and L-level runs.
 
 use mc_task::time::Duration;
 use serde::{Deserialize, Serialize};
@@ -87,6 +87,42 @@ impl SimMetrics {
         }
         let lost = self.lc_lost() + self.lc_deadline_misses + self.lc_degraded;
         lost as f64 / attempted as f64
+    }
+}
+
+/// Counters and clocks of one L-level run ([`super::simulate_multi`]).
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct MultiSimMetrics {
+    /// Jobs released, indexed by task criticality level.
+    pub released_per_level: Vec<u64>,
+    /// Jobs completed, indexed by task criticality level.
+    pub completed_per_level: Vec<u64>,
+    /// Deadline misses, indexed by task criticality level.
+    pub misses_per_level: Vec<u64>,
+    /// Escalations out of each mode (`escalations[k]` = mode k → k+1).
+    pub escalations: Vec<u64>,
+    /// Jobs killed at escalations.
+    pub jobs_killed: u64,
+    /// Releases rejected because the task's level was below the mode.
+    pub releases_rejected: u64,
+    /// Time spent in each mode.
+    pub time_in_mode: Vec<Duration>,
+    /// Processor busy time.
+    pub busy_time: Duration,
+    /// Total simulated time.
+    pub horizon: Duration,
+}
+
+impl MultiSimMetrics {
+    /// Deadline misses of the *top* criticality level — a sound design has
+    /// none.
+    pub fn top_level_misses(&self) -> u64 {
+        self.misses_per_level.last().copied().unwrap_or(0)
+    }
+
+    /// Total escalations across all modes.
+    pub fn total_escalations(&self) -> u64 {
+        self.escalations.iter().sum()
     }
 }
 

@@ -4,7 +4,7 @@
 use chebymc::core::multi::MultiScheme;
 use chebymc::prelude::*;
 use chebymc::sched::analysis::multi::analyze;
-use chebymc::sched::sim::{simulate_multi, MultiExecModel, MultiSimConfig};
+use chebymc::sched::sim::{simulate_multi, MultiSimConfig};
 use chebymc::task::multi::{MultiTask, MultiTaskSet};
 
 fn ms(v: u64) -> Duration {
@@ -71,7 +71,7 @@ fn designed_system_survives_adversarial_runtime() {
         &ts,
         &MultiSimConfig {
             horizon: Duration::from_secs(20),
-            exec_model: MultiExecModel::FullTopBudget,
+            exec_model: JobExecModel::FullHiBudget,
             seed: 1,
         },
     )
@@ -92,7 +92,7 @@ fn profile_runtime_escalates_rarely_for_designed_systems() {
         &ts,
         &MultiSimConfig {
             horizon: Duration::from_secs(30),
-            exec_model: MultiExecModel::Profile,
+            exec_model: JobExecModel::Profile,
             seed: 2,
         },
     )
