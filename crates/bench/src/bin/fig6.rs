@@ -12,9 +12,10 @@
 //! Run: `cargo run -p chebymc-bench --release --bin fig6`
 
 use chebymc_bench::{pct, task_sets_per_point, Table};
-use chebymc_core::pipeline::{acceptance_ratio_lo_bounded, BatchConfig, SchedulingApproach};
+use chebymc_core::pipeline::{acceptance_ratio_lo_bounded, BatchConfig};
 use chebymc_core::policy::WcetPolicy;
 use mc_opt::{GaConfig, ProblemConfig};
+use mc_sched::policy::PolicySpec;
 use mc_task::generate::GeneratorConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,23 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         problem: ProblemConfig::default(),
     };
 
-    let variants: Vec<(&str, Option<&WcetPolicy>, SchedulingApproach)> = vec![
-        ("Baruah'12", None, SchedulingApproach::BaruahDropAll),
-        (
-            "Baruah'12+scheme",
-            Some(&scheme),
-            SchedulingApproach::BaruahDropAll,
-        ),
-        (
-            "Liu'16",
-            None,
-            SchedulingApproach::LiuDegrade { fraction: 0.5 },
-        ),
-        (
-            "Liu'16+scheme",
-            Some(&scheme),
-            SchedulingApproach::LiuDegrade { fraction: 0.5 },
-        ),
+    let liu = PolicySpec::LiuDegrade { fraction: 0.5 };
+    let variants: Vec<(&str, Option<&WcetPolicy>, PolicySpec)> = vec![
+        ("Baruah'12", None, PolicySpec::EdfVdDropAll),
+        ("Baruah'12+scheme", Some(&scheme), PolicySpec::EdfVdDropAll),
+        ("Liu'16", None, liu),
+        ("Liu'16+scheme", Some(&scheme), liu),
     ];
 
     let mut table = Table::new({
@@ -70,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         results.push(acceptance_ratio_lo_bounded(
             &u_bounds,
             *policy,
-            *approach,
+            approach,
             lambda_range,
             &batch,
         )?);

@@ -1095,40 +1095,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let workload = load_workload(path)?;
     let seconds: u64 = seconds.as_deref().unwrap_or("60").parse()?;
     let seed: u64 = seed.as_deref().unwrap_or("0").parse()?;
-    // Validate degradation fractions here, at parse time, so the user sees
-    // `--policy degrade:1.5` rejected with the offending value instead of
-    // a downstream `LcPolicy::is_valid` failure.
-    let parse_fraction = |raw: &str| -> Result<f64, Box<dyn std::error::Error>> {
-        let f: f64 = raw
-            .parse()
-            .map_err(|e| format!("invalid degradation fraction `{raw}`: {e}"))?;
-        if !f.is_finite() || !(0.0..=1.0).contains(&f) {
-            return Err(format!(
-                "degradation fraction must be a finite value in [0, 1], got `{raw}`"
-            )
-            .into());
-        }
-        Ok(f)
-    };
-    let (lc_policy, mode_switch) = match policy.as_deref().unwrap_or("drop") {
-        "drop" => (LcPolicy::DropAll, ModeSwitchPolicy::System),
-        s if s.starts_with("degrade:") => (
-            LcPolicy::Degrade(parse_fraction(&s["degrade:".len()..])?),
-            ModeSwitchPolicy::System,
-        ),
-        // Boudjadar-style combined switching: contain a single overrun at
-        // task level, degrade LC only after a system-level escalation.
-        s if s.starts_with("combined:") => (
-            LcPolicy::Degrade(parse_fraction(&s["combined:".len()..])?),
-            ModeSwitchPolicy::TaskLevelThenSystem,
-        ),
-        other => {
-            return Err(format!(
-                "unknown policy `{other}` (expected drop, degrade:<f>, or combined:<f>)"
-            )
-            .into())
-        }
-    };
+    let policy: PolicySpec = policy.as_deref().unwrap_or("drop").parse()?;
     let exec_model = match model.as_deref().unwrap_or("profile") {
         "profile" => JobExecModel::Profile,
         "lo" => JobExecModel::FullLoBudget,
@@ -1136,15 +1103,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         s if s.starts_with("p:") => JobExecModel::OverrunWithProbability(s["p:".len()..].parse()?),
         other => return Err(format!("unknown execution model `{other}`").into()),
     };
-    let cfg = SimConfig {
-        horizon: Duration::from_secs(seconds),
-        lc_policy,
+    let base = SimConfig {
         exec_model,
-        x_factor: None,
-        release_jitter: Duration::ZERO,
-        mode_switch,
         seed,
+        ..SimConfig::new(Duration::from_secs(seconds))
     };
+    let cfg = policy.sim_config(&workload.tasks, &base);
     let m = simulate(&workload.tasks, &cfg)?;
     println!("simulated `{}` for {seconds} s:", workload.name);
     println!(

@@ -59,7 +59,7 @@ pub use mc_task as task;
 pub mod prelude {
     pub use chebymc_core::metrics::{design_metrics, DesignMetrics};
     pub use chebymc_core::pipeline::{
-        acceptance_ratio, evaluate_policy_over_utilization, BatchConfig, SchedulingApproach,
+        acceptance_ratio, evaluate_policy_over_utilization, BatchConfig,
     };
     pub use chebymc_core::policy::WcetPolicy;
     pub use chebymc_core::scheme::{ChebyshevScheme, DesignReport};

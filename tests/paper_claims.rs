@@ -132,11 +132,11 @@ fn fig6_acceptance_ordering() {
         seed: 0,
     };
     for approach in [
-        SchedulingApproach::BaruahDropAll,
-        SchedulingApproach::LiuDegrade { fraction: 0.5 },
+        PolicySpec::EdfVdDropAll,
+        PolicySpec::LiuDegrade { fraction: 0.5 },
     ] {
-        let a = acceptance_ratio(&bounds, &ours, approach, &batch).unwrap();
-        let b = acceptance_ratio(&bounds, &baseline, approach, &batch).unwrap();
+        let a = acceptance_ratio(&bounds, &ours, &approach, &batch).unwrap();
+        let b = acceptance_ratio(&bounds, &baseline, &approach, &batch).unwrap();
         assert_eq!(a[0].ratio, 1.0, "everything fits at U = 0.5");
         for (x, y) in a.iter().zip(&b) {
             assert!(
