@@ -58,7 +58,7 @@ pub struct DemandAnalysis {
 /// # Errors
 ///
 /// Returns [`SchedError::EmptyTaskSet`] for an empty set and
-/// [`SchedError::SimulationDiverged`] when the number of check points
+/// [`SchedError::DemandBudgetExhausted`] when the number of check points
 /// exceeds `max_points` (degenerate period ratios); `max_points = 0` means
 /// the default of 1 000 000.
 pub fn edf_demand_test(
@@ -110,24 +110,16 @@ pub fn edf_demand_test(
     }
     .max(max_deadline);
 
-    // Synchronous busy period L_b: w ← Σ ⌈w/Pᵢ⌉·Cᵢ to fixpoint.
-    let mut w = ts.iter().fold(Duration::ZERO, |acc, t| acc + t.wcet(mode));
-    let lb = loop {
-        let next = ts.iter().fold(Duration::ZERO, |acc, t| {
-            let jobs = w.as_nanos().div_ceil(t.period().as_nanos()).max(1);
-            acc + t.wcet(mode).saturating_mul(jobs)
-        });
-        if next == w {
-            break w;
-        }
-        if next < w {
-            break next;
-        }
-        w = next;
-        if w == Duration::MAX {
-            break w;
-        }
-    };
+    // Synchronous busy period L_b. Each fixpoint step that does not
+    // converge crosses a release instant, and each deadline point absorbs at
+    // most n of them; so after n·max_points + 2 steps more than max_points
+    // deadline points lie below w, and the enumeration below ends (on a
+    // violation or the budget) before any horizon. Such an L_b, like an
+    // overflowing one, bounds nothing.
+    let max_steps = (ts.len() as u64)
+        .saturating_mul(max_points)
+        .saturating_add(2);
+    let lb = busy_period(ts, mode, max_steps).unwrap_or(Duration::MAX);
     let horizon = la.min(lb).min(ts.hyperperiod().unwrap_or(Duration::MAX));
 
     // Enumerate absolute deadlines d = k·P + D ≤ horizon, merged and
@@ -142,7 +134,7 @@ pub fn edf_demand_test(
     {
         checked += 1;
         if checked > max_points {
-            return Err(SchedError::SimulationDiverged);
+            return Err(SchedError::DemandBudgetExhausted { max_points });
         }
         let demand = dbf(ts, next_d, mode);
         if demand > next_d {
@@ -166,6 +158,26 @@ pub fn edf_demand_test(
         horizon,
         points_checked: checked,
     })
+}
+
+/// The synchronous busy period: `w ← Σ ⌈w/Pᵢ⌉·Cᵢ` iterated from `Σ Cᵢ`
+/// to its fixpoint, or `None` when it has not converged within
+/// `max_steps` steps or the demand overflows.
+fn busy_period(ts: &TaskSet, mode: Criticality, max_steps: u64) -> Option<Duration> {
+    let mut w = ts
+        .iter()
+        .try_fold(Duration::ZERO, |acc, t| acc.checked_add(t.wcet(mode)))?;
+    for _ in 0..max_steps {
+        let next = ts.iter().try_fold(Duration::ZERO, |acc, t| {
+            let jobs = w.as_nanos().div_ceil(t.period().as_nanos()).max(1);
+            acc.checked_add(t.wcet(mode).saturating_mul(jobs))
+        })?;
+        if next <= w {
+            return Some(next);
+        }
+        w = next;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -278,8 +290,28 @@ mod tests {
         );
         assert!(matches!(
             edf_demand_test(&ts, Criticality::Lo, 1),
-            Err(SchedError::SimulationDiverged)
+            Err(SchedError::DemandBudgetExhausted { .. })
         ));
+    }
+
+    #[test]
+    fn busy_period_without_a_fixpoint_still_finds_the_violation() {
+        // U = 1 + 1e-10 passes the utilisation tolerance, so no finite
+        // busy period exists: the fixpoint is cut off, the horizon falls
+        // back to the 10 s hyperperiod, and dbf(10 s) = 10 s + 1 ns.
+        let s10 = Duration::from_secs(10);
+        let t = |id: u32, c: Duration| {
+            McTask::builder(TaskId::new(id))
+                .period(s10)
+                .c_lo(c)
+                .build()
+                .unwrap()
+        };
+        let c = Duration::from_secs(5);
+        let ts = TaskSet::from_tasks(vec![t(0, c), t(1, c + Duration::from_nanos(1))]).unwrap();
+        let a = edf_demand_test(&ts, Criticality::Lo, 0).unwrap();
+        assert!(!a.schedulable);
+        assert_eq!(a.violation_at, Some(s10));
     }
 
     #[test]
