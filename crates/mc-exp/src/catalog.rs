@@ -25,8 +25,7 @@ use crate::spec::{CampaignSpec, Param, PointSpec, WorkUnit};
 use crate::store::Metric;
 use crate::ExpError;
 use chebymc_core::pipeline::{
-    derive_set_seed, evaluate_arena_automotive_one_set, evaluate_arena_one_set,
-    evaluate_policy_one_set,
+    derive_set_seed, evaluate_arena_one_set, evaluate_policy_one_set, ArenaWorkload,
 };
 use chebymc_core::policy::{paper_lambda_baselines, WcetPolicy};
 use mc_exec::benchmarks;
@@ -189,19 +188,7 @@ fn fig5(opts: &CatalogOptions) -> Campaign {
         .clone()
         .unwrap_or_else(|| (4..=9).map(|i| f64::from(i) / 10.0).collect());
     let policies = fig5_policies();
-    let mut points = Vec::new();
-    for (pi, policy) in policies.iter().enumerate() {
-        for (ui, &u) in u_values.iter().enumerate() {
-            points.push(PointSpec::new(
-                format!("{}/u{u:.2}", policy.name()),
-                vec![
-                    Param::new("policy", pi as f64),
-                    Param::new("u", u),
-                    Param::new("u_index", ui as f64),
-                ],
-            ));
-        }
-    }
+    let points = policy_major_points(policies.iter().map(WcetPolicy::name), &u_values);
     let spec = CampaignSpec {
         name: "fig5".into(),
         seed,
@@ -228,9 +215,8 @@ struct Fig5Runner {
 
 impl UnitRunner for Fig5Runner {
     fn run_unit(&self, unit: &WorkUnit, inner_threads: usize) -> Result<Vec<Metric>, ExpError> {
-        let u_count = self.u_values.len();
-        let policy = &self.policies[unit.point / u_count];
-        let u_index = unit.point % u_count;
+        let (policy_index, u_index) = split_policy_major(unit, self.u_values.len());
+        let policy = &self.policies[policy_index];
         let u = self.u_values[u_index];
         // The legacy batch stream: one seed per (utilisation, set), shared
         // across policies so every policy designs the same task sets.
@@ -248,6 +234,34 @@ impl UnitRunner for Fig5Runner {
             Metric::new("objective", e.objective),
         ])
     }
+}
+
+/// The points of a policy × utilisation campaign, policy-major
+/// (`point = policy_index * |u| + u_index`), each labelled
+/// `<policy>/u<u>` and carrying `policy`, `u` and `u_index` parameters.
+fn policy_major_points(
+    policy_names: impl Iterator<Item = String>,
+    u_values: &[f64],
+) -> Vec<PointSpec> {
+    let mut points = Vec::new();
+    for (pi, name) in policy_names.enumerate() {
+        for (ui, &u) in u_values.iter().enumerate() {
+            points.push(PointSpec::new(
+                format!("{name}/u{u:.2}"),
+                vec![
+                    Param::new("policy", pi as f64),
+                    Param::new("u", u),
+                    Param::new("u_index", ui as f64),
+                ],
+            ));
+        }
+    }
+    points
+}
+
+/// The `(policy_index, u_index)` of a unit of a policy-major campaign.
+fn split_policy_major(unit: &WorkUnit, u_count: usize) -> (usize, usize) {
+    (unit.point / u_count, unit.point % u_count)
 }
 
 /// Table II: the `1/(1+n²)` analysis bound vs the measured overrun rate
@@ -402,8 +416,6 @@ const ARENA_HORIZON_SECS: u64 = 5;
 /// each policy admits and simulates bit-identical task sets and the
 /// per-point comparison is paired.
 fn policy_arena(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
-    let seed = opts.seed.unwrap_or(11);
-    let replicas = opts.sets.unwrap_or(200);
     // The default axis spans the overload transition: below 1.0 every
     // entrant admits nearly everything; the interesting separation —
     // demand vs utilisation tests, containment vs plain Liu — happens as
@@ -412,78 +424,18 @@ fn policy_arena(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
         .points
         .clone()
         .unwrap_or_else(|| vec![0.6, 0.8, 1.0, 1.1, 1.2, 1.3]);
-    let roster = PolicySpec::arena_roster();
-    // Gate the roster before any unit runs: a duplicate name would merge
-    // two policies into one aggregate row; a bad fraction would fail every
-    // unit of one policy block, thousands of units into the campaign.
-    let lint = mc_lint::lint_policy_roster(&roster);
-    if lint.has_errors() {
-        return Err(ExpError::Config(format!(
-            "policy roster failed lint:\n{lint}"
-        )));
-    }
-    let mut points = Vec::new();
-    for (pi, policy) in roster.iter().enumerate() {
-        for (ui, &u) in u_values.iter().enumerate() {
-            points.push(PointSpec::new(
-                format!("{}/u{u:.2}", policy.name()),
-                vec![
-                    Param::new("policy", pi as f64),
-                    Param::new("u", u),
-                    Param::new("u_index", ui as f64),
-                ],
-            ));
-        }
-    }
-    let spec = CampaignSpec {
-        name: "policy_arena".into(),
-        seed,
-        params: vec![],
-        points,
-        replicas,
-    };
-    Ok(Campaign {
-        spec,
-        runner: Box::new(PolicyArenaRunner {
-            roster,
-            u_values,
-            seed,
-        }),
-    })
-}
-
-struct PolicyArenaRunner {
-    roster: Vec<PolicySpec>,
-    u_values: Vec<f64>,
-    seed: u64,
-}
-
-impl UnitRunner for PolicyArenaRunner {
-    fn run_unit(&self, unit: &WorkUnit, _inner_threads: usize) -> Result<Vec<Metric>, ExpError> {
-        let u_count = self.u_values.len();
-        let policy = &self.roster[unit.point / u_count];
-        let u_index = unit.point % u_count;
-        let u = self.u_values[u_index];
-        // Policy-independent seed: every policy sees the same task sets.
-        let eval_seed = derive_set_seed(self.seed, u_index, unit.replica);
-        let base = SimConfig::new(Duration::from_secs(ARENA_HORIZON_SECS));
-        let e = evaluate_arena_one_set(
-            u,
-            &arena_wcet(),
-            policy,
-            &GeneratorConfig::default(),
-            eval_seed,
-            &base,
-        )?;
-        Ok(vec![
-            Metric::new("schedulable", e.schedulable),
-            Metric::new("service_level", e.service_level),
-            Metric::new("switch_rate", e.switch_rate),
-            Metric::new("task_switch_rate", e.task_switch_rate),
-            Metric::new("lc_qos", e.lc_qos),
-            Metric::new("hc_miss_rate", e.hc_miss_rate),
-        ])
-    }
+    arena_campaign(
+        CampaignSpec {
+            name: "policy_arena".into(),
+            seed: opts.seed.unwrap_or(11),
+            params: vec![],
+            points: vec![],
+            replicas: opts.sets.unwrap_or(200),
+        },
+        u_values,
+        ARENA_HORIZON_SECS,
+        ArenaWorkload::Synthetic(GeneratorConfig::default()),
+    )
 }
 
 /// The automotive arena's simulation window. The Bosch period table spans
@@ -501,8 +453,6 @@ const AUTOMOTIVE_HORIZON_SECS: u64 = 1;
 /// `spec.params`: changing the scale changes the fingerprint, and a store
 /// generated at one scale refuses to resume at another.
 fn automotive(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
-    let seed = opts.seed.unwrap_or(17);
-    let replicas = opts.sets.unwrap_or(50);
     let runnables = opts.runnables.unwrap_or(1000);
     // The default axis brackets the design point: automotive sets are
     // generated against a budget utilisation, so the interesting spread —
@@ -514,76 +464,84 @@ fn automotive(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
         runnables,
         ..AutomotiveConfig::default()
     };
-    // Gate both the roster and the generator before any unit runs: a bad
-    // runnable count or a corrupted calibration table would otherwise fail
-    // every unit, thousands of units into the campaign.
-    let lint = mc_lint::lint_policy_roster(&PolicySpec::arena_roster());
-    if lint.has_errors() {
-        return Err(ExpError::Config(format!(
-            "policy roster failed lint:\n{lint}"
-        )));
-    }
+    // Gate the generator before any unit runs: a bad runnable count or a
+    // corrupted calibration table would otherwise fail every unit,
+    // thousands of units into the campaign.
     let lint = mc_lint::lint_automotive_config(&config);
     if lint.has_errors() {
         return Err(ExpError::Config(format!(
             "automotive generator failed lint:\n{lint}"
         )));
     }
+    arena_campaign(
+        CampaignSpec {
+            name: "automotive".into(),
+            seed: opts.seed.unwrap_or(17),
+            params: vec![Param::new("runnables", runnables as f64)],
+            points: vec![],
+            replicas: opts.sets.unwrap_or(50),
+        },
+        u_values,
+        AUTOMOTIVE_HORIZON_SECS,
+        ArenaWorkload::Automotive(config),
+    )
+}
+
+/// Completes an arena campaign from its `spec` without points: the
+/// roster's policy-major points over `u_values`, and a runner that
+/// simulates each unit for `horizon_secs` on sets of `workload`.
+fn arena_campaign(
+    mut spec: CampaignSpec,
+    u_values: Vec<f64>,
+    horizon_secs: u64,
+    workload: ArenaWorkload,
+) -> Result<Campaign, ExpError> {
     let roster = PolicySpec::arena_roster();
-    let mut points = Vec::new();
-    for (pi, policy) in roster.iter().enumerate() {
-        for (ui, &u) in u_values.iter().enumerate() {
-            points.push(PointSpec::new(
-                format!("{}/u{u:.2}", policy.name()),
-                vec![
-                    Param::new("policy", pi as f64),
-                    Param::new("u", u),
-                    Param::new("u_index", ui as f64),
-                ],
-            ));
-        }
+    // Gate the roster before any unit runs: a duplicate name would merge
+    // two policies into one aggregate row; a bad fraction would fail every
+    // unit of one policy block, thousands of units into the campaign.
+    let lint = mc_lint::lint_policy_roster(&roster);
+    if lint.has_errors() {
+        return Err(ExpError::Config(format!(
+            "policy roster failed lint:\n{lint}"
+        )));
     }
-    let spec = CampaignSpec {
-        name: "automotive".into(),
-        seed,
-        params: vec![Param::new("runnables", runnables as f64)],
-        points,
-        replicas,
+    spec.points = policy_major_points(roster.iter().map(SchedulingPolicy::name), &u_values);
+    let runner = ArenaRunner {
+        roster,
+        u_values,
+        seed: spec.seed,
+        horizon_secs,
+        workload,
     };
     Ok(Campaign {
         spec,
-        runner: Box::new(AutomotiveRunner {
-            roster,
-            u_values,
-            seed,
-            config,
-        }),
+        runner: Box::new(runner),
     })
 }
 
-struct AutomotiveRunner {
+/// Races one roster entrant on one seeded task set of the arena's
+/// workload (see [`evaluate_arena_one_set`]).
+struct ArenaRunner {
     roster: Vec<PolicySpec>,
     u_values: Vec<f64>,
     seed: u64,
-    config: AutomotiveConfig,
+    horizon_secs: u64,
+    workload: ArenaWorkload,
 }
 
-impl UnitRunner for AutomotiveRunner {
+impl UnitRunner for ArenaRunner {
     fn run_unit(&self, unit: &WorkUnit, _inner_threads: usize) -> Result<Vec<Metric>, ExpError> {
-        let u_count = self.u_values.len();
-        let policy = &self.roster[unit.point / u_count];
-        let u_index = unit.point % u_count;
-        let u = self.u_values[u_index];
+        let (policy_index, u_index) = split_policy_major(unit, self.u_values.len());
         // Policy-independent seed: every policy sees the same task sets.
         let eval_seed = derive_set_seed(self.seed, u_index, unit.replica);
-        let base = SimConfig::new(Duration::from_secs(AUTOMOTIVE_HORIZON_SECS));
-        let e = evaluate_arena_automotive_one_set(
-            u,
+        let e = evaluate_arena_one_set(
+            self.u_values[u_index],
             &arena_wcet(),
-            policy,
-            &self.config,
+            &self.roster[policy_index],
+            &self.workload,
             eval_seed,
-            &base,
+            &SimConfig::new(Duration::from_secs(self.horizon_secs)),
         )?;
         Ok(vec![
             Metric::new("schedulable", e.schedulable),
@@ -850,7 +808,6 @@ mod tests {
 
     #[test]
     fn automotive_units_reproduce_the_paired_arena_stream() {
-        use chebymc_core::pipeline::evaluate_arena_automotive_one_set;
         let opts = CatalogOptions {
             sets: Some(2),
             points: Some(vec![0.6]),
@@ -866,11 +823,11 @@ mod tests {
             runnables: 60,
             ..AutomotiveConfig::default()
         };
-        let expected = evaluate_arena_automotive_one_set(
+        let expected = evaluate_arena_one_set(
             0.6,
             &arena_wcet(),
             &PolicySpec::arena_roster()[1],
-            &cfg,
+            &ArenaWorkload::Automotive(cfg),
             derive_set_seed(17, 0, 1),
             &SimConfig::new(Duration::from_secs(AUTOMOTIVE_HORIZON_SECS)),
         )
