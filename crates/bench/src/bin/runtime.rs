@@ -8,7 +8,7 @@ use chebymc_bench::{pct, Table};
 use chebymc_core::policy::WcetPolicy;
 use chebymc_core::scheme::ChebyshevScheme;
 use mc_opt::GaConfig;
-use mc_sched::sim::{simulate, JobExecModel, LcPolicy, ModeSwitchPolicy, SimConfig};
+use mc_sched::sim::{simulate, SimConfig};
 use mc_task::generate::{generate_mixed_taskset, GeneratorConfig};
 use mc_task::time::Duration;
 use rand::SeedableRng;
@@ -68,14 +68,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ("chebyshev-n2", &tight, tight_bound),
                 ("lambda-1/32", &lam, f64::NAN),
             ] {
+                // Drop-all EDF-VD with profile-driven execution times.
                 let cfg = SimConfig {
-                    horizon: Duration::from_secs(60),
-                    lc_policy: LcPolicy::DropAll,
-                    exec_model: JobExecModel::Profile,
-                    x_factor: None,
-                    release_jitter: Duration::ZERO,
-                    mode_switch: ModeSwitchPolicy::System,
                     seed: 99 + seed,
+                    ..SimConfig::new(Duration::from_secs(60))
                 };
                 let m = simulate(ts, &cfg)?;
                 table.row([
