@@ -329,49 +329,9 @@ pub fn optimize_with_stats<F>(
 where
     F: Fn(&[f64]) -> f64 + Sync,
 {
-    cfg.validate()?;
-    if bounds.is_empty() {
-        return Err(OptError::EmptyChromosome);
-    }
     let pool = WorkerPool::with_budget(ThreadBudget::explicit(cfg.threads));
-    optimize_with_stats_pool(bounds, fitness, cfg, &pool)
-}
-
-/// [`optimize`] on a caller-supplied [`WorkerPool`], for callers that run
-/// many GA instances and want to reuse one pool (and its thread budget)
-/// across all of them. `cfg.threads` is ignored; the pool decides.
-///
-/// # Errors
-///
-/// Same conditions as [`optimize`].
-pub fn optimize_with_pool<F>(
-    bounds: &[GeneBounds],
-    fitness: F,
-    cfg: &GaConfig,
-    pool: &WorkerPool,
-) -> Result<GaResult, OptError>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    optimize_with_stats_pool(bounds, fitness, cfg, pool).map(|(result, _)| result)
-}
-
-/// [`optimize_with_stats`] on a caller-supplied pool.
-///
-/// # Errors
-///
-/// Same conditions as [`optimize`].
-pub fn optimize_with_stats_pool<F>(
-    bounds: &[GeneBounds],
-    fitness: F,
-    cfg: &GaConfig,
-    pool: &WorkerPool,
-) -> Result<(GaResult, EvalStats), OptError>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
     let mut backend = ClosureBackend::new(&fitness, !cfg.disable_memo, cfg.serial_eval_threshold);
-    run_ga(bounds, cfg, pool, &mut backend)
+    run_ga(bounds, cfg, &pool, &mut backend)
 }
 
 /// The GA loop shared by every backend: selection, variation, elitism and

@@ -24,22 +24,6 @@ pub struct SweepPoint {
 /// Returns [`OptError::InvalidConfig`] when `ns` is empty or contains a
 /// negative/non-finite factor.
 pub fn uniform_sweep(problem: &WcetProblem, ns: &[f64]) -> Result<Vec<SweepPoint>, OptError> {
-    uniform_sweep_with_pool(problem, ns, &mc_par::WorkerPool::serial())
-}
-
-/// [`uniform_sweep`] with the points evaluated in parallel on `pool`.
-/// Each point is independent, so the output is identical for any thread
-/// count; the figure binaries sweep hundreds of points per task set and
-/// share the batch layer's pool here.
-///
-/// # Errors
-///
-/// Same conditions as [`uniform_sweep`].
-pub fn uniform_sweep_with_pool(
-    problem: &WcetProblem,
-    ns: &[f64],
-    pool: &mc_par::WorkerPool,
-) -> Result<Vec<SweepPoint>, OptError> {
     if ns.is_empty() {
         return Err(OptError::InvalidConfig {
             reason: "sweep requires at least one factor",
@@ -50,23 +34,13 @@ pub fn uniform_sweep_with_pool(
             reason: "sweep factors must be finite and non-negative",
         });
     }
-    let mut points = vec![
-        SweepPoint {
-            n: 0.0,
-            objective: ObjectiveValue {
-                p_ms: 0.0,
-                max_u_lc_lo: 0.0,
-                u_hc_lo: 0.0,
-                fitness: 0.0,
-            },
-        };
-        ns.len()
-    ];
-    pool.fill(&mut points, |i| SweepPoint {
-        n: ns[i],
-        objective: problem.objective_uniform(ns[i]),
-    });
-    Ok(points)
+    Ok(ns
+        .iter()
+        .map(|&n| SweepPoint {
+            n,
+            objective: problem.objective_uniform(n),
+        })
+        .collect())
 }
 
 /// The uniform factor (among `ns`) maximising Eq. 13 — the paper's
@@ -197,18 +171,6 @@ mod tests {
         // n = 0 → P_MS = 1 → fitness 0.
         assert_eq!(sweep[0].objective.fitness, 0.0);
         assert!(sweep[1].objective.fitness > 0.0);
-    }
-
-    #[test]
-    fn pooled_sweep_is_identical_for_any_thread_count() {
-        let p = problem();
-        let ns: Vec<f64> = (0..=60).map(|i| f64::from(i) * 0.5).collect();
-        let serial = uniform_sweep(&p, &ns).unwrap();
-        for threads in [2usize, 0] {
-            let pool = mc_par::WorkerPool::new(threads);
-            let pooled = uniform_sweep_with_pool(&p, &ns, &pool).unwrap();
-            assert_eq!(serial, pooled);
-        }
     }
 
     #[test]

@@ -30,10 +30,9 @@
 //!   population against it in one contiguous pass (optionally fanned out
 //!   over an [`mc_par::WorkerPool`], bit-identical for any thread count).
 //!
-//! The GA entry points [`optimize_incremental`] /
-//! [`optimize_incremental_with_pool`] run the standard GA loop with the
-//! incremental backend and report [`EvalStats`] — how many evaluations
-//! were full folds, delta patches, or carried scores.
+//! The GA entry point [`optimize_incremental`] runs the standard GA loop
+//! with the incremental backend and reports [`EvalStats`] — how many
+//! evaluations were full folds, delta patches, or carried scores.
 
 use crate::ga::{run_ga, EvalStats, GaConfig, GaResult, GeneBounds, IncrementalBackend};
 use crate::problem::{HcTaskParams, ObjectiveValue};
@@ -514,30 +513,15 @@ pub fn optimize_incremental(
     bounds: &[GeneBounds],
     cfg: &GaConfig,
 ) -> Result<(GaResult, EvalStats), OptError> {
-    let pool = WorkerPool::with_budget(ThreadBudget::explicit(cfg.threads));
-    optimize_incremental_with_pool(cache, bounds, cfg, &pool)
-}
-
-/// [`optimize_incremental`] on a caller-supplied pool (`cfg.threads` is
-/// ignored; the pool decides).
-///
-/// # Errors
-///
-/// Same conditions as [`optimize_incremental`].
-pub fn optimize_incremental_with_pool(
-    cache: &ObjectiveCache,
-    bounds: &[GeneBounds],
-    cfg: &GaConfig,
-    pool: &WorkerPool,
-) -> Result<(GaResult, EvalStats), OptError> {
     if !bounds.is_empty() && bounds.len() != cache.dimension() {
         return Err(OptError::DimensionMismatch {
             expected: cache.dimension(),
             got: bounds.len(),
         });
     }
+    let pool = WorkerPool::with_budget(ThreadBudget::explicit(cfg.threads));
     let mut backend = IncrementalBackend::new(cache, cfg.serial_eval_threshold);
-    run_ga(bounds, cfg, pool, &mut backend)
+    run_ga(bounds, cfg, &pool, &mut backend)
 }
 
 #[cfg(test)]

@@ -43,9 +43,7 @@ use std::error::Error;
 use std::fmt;
 
 pub use ga::{EvalStats, GaConfig, GaResult, GeneBounds};
-pub use incremental::{
-    optimize_incremental, optimize_incremental_with_pool, FlatPopulation, ObjectiveCache,
-};
+pub use incremental::{optimize_incremental, FlatPopulation, ObjectiveCache};
 pub use problem::{ObjectiveValue, ProblemConfig, Solution, WcetProblem};
 
 /// Errors produced by the optimisation substrate.

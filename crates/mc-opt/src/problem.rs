@@ -10,7 +10,7 @@
 
 use crate::ga::{GaConfig, GeneBounds};
 use crate::incremental::ObjectiveCache;
-use crate::incremental::{optimize_incremental, optimize_incremental_with_pool, FlatPopulation};
+use crate::incremental::{optimize_incremental, FlatPopulation};
 use crate::OptError;
 use mc_task::time::Duration;
 use mc_task::{TaskId, TaskSet};
@@ -256,24 +256,9 @@ impl WcetProblem {
         self.cache.objective_batch(genomes, out);
     }
 
-    /// [`WcetProblem::objective_batch`] fanned out over a worker pool,
-    /// bit-identical for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on population/output dimension mismatches.
-    pub fn objective_batch_with_pool(
-        &self,
-        pool: &mc_par::WorkerPool,
-        genomes: &FlatPopulation,
-        out: &mut [ObjectiveValue],
-    ) {
-        self.cache.objective_batch_with_pool(pool, genomes, out);
-    }
-
     /// Evaluates the objective at a single uniform factor (Fig. 2/3 mode).
     /// Clamps per task to Eq. 9 and the cap, without materialising a
-    /// factor vector — the sweep binaries call this in a tight loop.
+    /// factor vector — uniform sweeps call this in a tight loop.
     pub fn objective_uniform(&self, n: f64) -> ObjectiveValue {
         let cap = self.config.factor_cap;
         self.cache
@@ -294,30 +279,6 @@ impl WcetProblem {
         }
         let bounds = self.bounds()?;
         let (result, _stats) = optimize_incremental(&self.cache, &bounds, cfg)?;
-        let objective = self.objective(&result.best);
-        Ok(Solution {
-            factors: result.best,
-            objective,
-        })
-    }
-
-    /// [`WcetProblem::solve_ga`] on a caller-supplied worker pool, for
-    /// batch layers that solve many problems and share one pool (and one
-    /// thread budget) across all of them. `cfg.threads` is ignored.
-    ///
-    /// # Errors
-    ///
-    /// Propagates GA configuration errors.
-    pub fn solve_ga_with_pool(
-        &self,
-        cfg: &GaConfig,
-        pool: &mc_par::WorkerPool,
-    ) -> Result<Solution, OptError> {
-        if self.tasks.is_empty() {
-            return Ok(Self::trivial_solution());
-        }
-        let bounds = self.bounds()?;
-        let (result, _stats) = optimize_incremental_with_pool(&self.cache, &bounds, cfg, pool)?;
         let objective = self.objective(&result.best);
         Ok(Solution {
             factors: result.best,

@@ -3,9 +3,8 @@
 //! bit-identical for any thread count, and the fitness memo cache must
 //! never change a result — only skip redundant evaluations.
 
-use mc_opt::ga::{optimize, optimize_with_pool, GaConfig, GaResult, GeneBounds};
+use mc_opt::ga::{optimize, GaConfig, GaResult, GeneBounds};
 use mc_opt::{ProblemConfig, WcetProblem};
-use mc_par::WorkerPool;
 use mc_task::time::Duration;
 use mc_task::{Criticality, ExecutionProfile, McTask, TaskId, TaskSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -72,24 +71,6 @@ fn solve_ga_is_bit_identical_across_thread_counts() {
         .collect();
     assert_eq!(solutions[0], solutions[1]);
     assert_eq!(solutions[0], solutions[2]);
-}
-
-#[test]
-fn caller_supplied_pool_matches_config_threads() {
-    let bounds = vec![GeneBounds::new(-5.12, 5.12).unwrap(); 4];
-    let cfg = GaConfig {
-        population_size: 32,
-        generations: 20,
-        threads: 2,
-        ..GaConfig::default()
-    };
-    let own_pool = optimize(&bounds, rastrigin_like, &cfg).unwrap();
-    let pool = WorkerPool::new(2);
-    let shared = optimize_with_pool(&bounds, rastrigin_like, &cfg, &pool).unwrap();
-    assert_eq!(own_pool, shared);
-    // And the same shared pool is reusable for a second run.
-    let again = optimize_with_pool(&bounds, rastrigin_like, &cfg, &pool).unwrap();
-    assert_eq!(shared, again);
 }
 
 #[test]
