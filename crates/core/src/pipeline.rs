@@ -1,9 +1,12 @@
-//! Batch evaluation pipelines behind the paper's Figs. 3–6.
+//! Evaluation pipelines behind the paper's Figs. 3–6.
 //!
 //! Each figure averages a metric over many synthetic task sets per
 //! utilisation point (1000 in the paper). The pipelines here generate the
-//! sets (seeded and reproducible), apply a [`WcetPolicy`], and aggregate
-//! design metrics or schedulability verdicts.
+//! sets (seeded and reproducible), apply a [`WcetPolicy`], and report
+//! design metrics or schedulability verdicts. The per-set functions
+//! ([`evaluate_policy_one_set`], [`admit_lo_bounded_one_set`],
+//! [`evaluate_arena_one_set`]) are the units of the `mc-exp` campaigns;
+//! the batch functions average them in process.
 
 use crate::metrics::design_metrics;
 use crate::policy::WcetPolicy;
@@ -262,8 +265,9 @@ pub struct AcceptancePoint {
 
 /// Measures the acceptance ratio of the WCET `policy` under the
 /// `scheduling` policy's admission test over mixed task sets at each bound
-/// utilisation — the engine behind Fig. 6 (Baruah et al. is
-/// [`PolicySpec::EdfVdDropAll`], Liu et al. [`PolicySpec::LiuDegrade`]).
+/// utilisation (Baruah et al. is [`PolicySpec::EdfVdDropAll`], Liu et al.
+/// [`PolicySpec::LiuDegrade`]). The `fig6` campaign's per-set counterpart
+/// on LO-bounded sets is [`admit_lo_bounded_one_set`].
 ///
 /// # Errors
 ///
@@ -276,51 +280,8 @@ pub fn acceptance_ratio(
     scheduling: &PolicySpec,
     batch: &BatchConfig,
 ) -> Result<Vec<AcceptancePoint>, CoreError> {
-    acceptance(u_bounds, Some(policy), scheduling, batch, |u, rng| {
-        generate_mixed_taskset(u, &batch.generator, rng)
-    })
-}
-
-/// The Fig. 6 experiment proper: task sets whose **LO-mode** utilisation
-/// reaches `u_bound`, with HC tasks budgeted the λ-baseline way
-/// (`C_LO = λᵢ·C_HI`, `λᵢ ∈ lambda_range`). With `scheme = None` the sets
-/// are tested as generated (the published approaches); with
-/// `scheme = Some(policy)` the policy re-derives every `C_LO` first (the
-/// "+ our scheme" variants).
-///
-/// # Errors
-///
-/// Same conditions as [`acceptance_ratio`], plus generator validation of
-/// `lambda_range`.
-pub fn acceptance_ratio_lo_bounded(
-    u_bounds: &[f64],
-    scheme: Option<&WcetPolicy>,
-    scheduling: &PolicySpec,
-    lambda_range: (f64, f64),
-    batch: &BatchConfig,
-) -> Result<Vec<AcceptancePoint>, CoreError> {
-    acceptance(u_bounds, scheme, scheduling, batch, |u, rng| {
-        generate_lo_bounded_taskset(u, lambda_range, &batch.generator, rng)
-    })
-}
-
-/// The Fig. 6 batch: at each bound utilisation, `generate` every seeded
-/// set, let `scheme` (when given) re-derive its `C_LO`, and count the sets
-/// `scheduling` admits.
-fn acceptance<G>(
-    u_bounds: &[f64],
-    scheme: Option<&WcetPolicy>,
-    scheduling: &PolicySpec,
-    batch: &BatchConfig,
-    generate: G,
-) -> Result<Vec<AcceptancePoint>, CoreError>
-where
-    G: Fn(f64, &mut StdRng) -> Result<mc_task::TaskSet, mc_task::TaskError> + Sync,
-{
     batch.validate()?;
-    if let Some(policy) = scheme {
-        lint_policy(policy)?;
-    }
+    lint_policy(policy)?;
     if u_bounds.is_empty() {
         return Err(CoreError::InvalidPolicy {
             reason: "at least one utilisation point is required",
@@ -334,16 +295,11 @@ where
         let verdicts = map_sets(&pool, batch.task_sets, |si| {
             let seed = batch.set_seed(pi, si);
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut ts = {
+            let ts = {
                 let _span = mc_obs::span("pipeline.generate");
-                generate(u, &mut rng).map_err(CoreError::Task)?
+                generate_mixed_taskset(u, &batch.generator, &mut rng).map_err(CoreError::Task)?
             };
-            if let Some(policy) = scheme {
-                let _span = mc_obs::span("pipeline.assign");
-                reseed(policy, seed, inner_threads).assign(&mut ts)?;
-            }
-            let _span = mc_obs::span("pipeline.sched_test");
-            Ok(scheduling.admit(&ts)?.schedulable)
+            admit_designed(ts, Some(policy), scheduling, seed, inner_threads)
         })?;
         let accepted = verdicts.iter().filter(|&&ok| ok).count();
         out.push(AcceptancePoint {
@@ -352,6 +308,54 @@ where
         });
     }
     Ok(out)
+}
+
+/// The Fig. 6 verdict on one task set: generates a set whose **LO-mode**
+/// utilisation reaches `u_bound`, with HC tasks budgeted the λ-baseline way
+/// (`C_LO = λᵢ·C_HI`, `λᵢ ∈ lambda_range`), and reports whether
+/// `scheduling` admits it. With `scheme = None` the set is tested as
+/// generated (the published approaches); with `scheme = Some(policy)` the
+/// policy (re-seeded to `seed`, inner parallelism pinned to
+/// `inner_threads`) re-derives every `C_LO` first (the "+ our scheme"
+/// variants).
+///
+/// # Errors
+///
+/// Propagates generation (including validation of `lambda_range`),
+/// assignment and admission errors.
+pub fn admit_lo_bounded_one_set(
+    u_bound: f64,
+    scheme: Option<&WcetPolicy>,
+    scheduling: &PolicySpec,
+    lambda_range: (f64, f64),
+    generator: &GeneratorConfig,
+    seed: u64,
+    inner_threads: usize,
+) -> Result<bool, CoreError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ts = {
+        let _span = mc_obs::span("pipeline.generate");
+        generate_lo_bounded_taskset(u_bound, lambda_range, generator, &mut rng)
+            .map_err(CoreError::Task)?
+    };
+    admit_designed(ts, scheme, scheduling, seed, inner_threads)
+}
+
+/// Lets `scheme` (when given) re-derive the set's `C_LO`, then runs the
+/// `scheduling` admission test.
+fn admit_designed(
+    mut ts: mc_task::TaskSet,
+    scheme: Option<&WcetPolicy>,
+    scheduling: &PolicySpec,
+    seed: u64,
+    inner_threads: usize,
+) -> Result<bool, CoreError> {
+    if let Some(policy) = scheme {
+        let _span = mc_obs::span("pipeline.assign");
+        reseed(policy, seed, inner_threads).assign(&mut ts)?;
+    }
+    let _span = mc_obs::span("pipeline.sched_test");
+    Ok(scheduling.admit(&ts)?.schedulable)
 }
 
 /// What one scheduling policy did with one designed task set: the
@@ -675,36 +679,36 @@ mod tests {
     }
 
     #[test]
-    fn fig6_pipeline_shows_scheme_advantage_at_high_bounds() {
+    fn fig6_sets_show_scheme_advantage_at_high_bounds() {
         // The paper's Fig. 6 shape: at a high LO-mode bound, the λ-designed
         // sets fail (hidden HI demand C_LO/λ) while the scheme-redesigned
-        // ones keep passing.
-        let batch = small_batch();
-        let baseline = acceptance_ratio_lo_bounded(
-            &[0.6, 0.95],
-            None,
-            &PolicySpec::EdfVdDropAll,
-            (0.25, 1.0),
-            &batch,
-        )
-        .unwrap();
-        let with_scheme = acceptance_ratio_lo_bounded(
-            &[0.6, 0.95],
-            Some(&WcetPolicy::ChebyshevUniform { n: 3.0 }),
-            &PolicySpec::EdfVdDropAll,
-            (0.25, 1.0),
-            &batch,
-        )
-        .unwrap();
+        // ones keep passing. Seeds follow `small_batch`'s stream.
+        let accepted = |pi: usize, u: f64, scheme: Option<&WcetPolicy>| {
+            (0..20)
+                .filter(|&si| {
+                    admit_lo_bounded_one_set(
+                        u,
+                        scheme,
+                        &PolicySpec::EdfVdDropAll,
+                        (0.25, 1.0),
+                        &GeneratorConfig::default(),
+                        derive_set_seed(1, pi, si),
+                        1,
+                    )
+                    .unwrap()
+                })
+                .count()
+        };
+        let scheme = WcetPolicy::ChebyshevUniform { n: 3.0 };
         // Low bound: everything passes either way.
-        assert_eq!(baseline[0].ratio, 1.0);
-        assert_eq!(with_scheme[0].ratio, 1.0);
+        assert_eq!(accepted(0, 0.6, None), 20);
+        assert_eq!(accepted(0, 0.6, Some(&scheme)), 20);
         // High bound: the scheme strictly improves acceptance.
+        let baseline = accepted(1, 0.95, None);
+        let with_scheme = accepted(1, 0.95, Some(&scheme));
         assert!(
-            with_scheme[1].ratio > baseline[1].ratio,
-            "scheme {} vs baseline {}",
-            with_scheme[1].ratio,
-            baseline[1].ratio
+            with_scheme > baseline,
+            "scheme {with_scheme} vs baseline {baseline}"
         );
     }
 
@@ -750,12 +754,14 @@ mod tests {
             other => panic!("expected CoreError::Lint, got {other:?}"),
         }
         assert!(acceptance_ratio(&[0.5], &bad, &PolicySpec::EdfVdDropAll, &small_batch()).is_err());
-        assert!(acceptance_ratio_lo_bounded(
-            &[0.5],
+        assert!(admit_lo_bounded_one_set(
+            0.5,
             Some(&bad),
             &PolicySpec::EdfVdDropAll,
             (0.25, 1.0),
-            &small_batch()
+            &GeneratorConfig::default(),
+            1,
+            1
         )
         .is_err());
     }

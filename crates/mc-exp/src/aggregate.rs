@@ -3,8 +3,8 @@
 //! Aggregation sums each metric over a point's replicas *in replica
 //! order* before dividing — the same f64 summation order the in-process
 //! batch pipeline uses — so a campaign mean is bit-identical to the
-//! legacy [`chebymc_core::pipeline::evaluate_policy_over_utilization`]
-//! numbers when the runner follows the same seed contract.
+//! [`chebymc_core::pipeline::evaluate_policy_over_utilization`] numbers
+//! when the runner follows the same seed contract.
 
 use crate::spec::{CampaignSpec, Param};
 use crate::store::{Metric, UnitRecord};

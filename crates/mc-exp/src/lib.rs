@@ -33,10 +33,11 @@
 //!   per-shard progress) used by the runner, `chebymc exp status`, and
 //!   the mc-serve coordinator's lease table.
 //! * [`progress`] — the throttled stderr progress/ETA reporter.
-//! * [`aggregate`] — per-point means (in replica order, preserving the
-//!   legacy f64 summation order) and CSV export.
-//! * [`catalog`] — the built-in campaign definitions (`fig5`, `table2`,
-//!   `ablation_sigma`) the bench binaries and `chebymc exp` share.
+//! * [`aggregate`] — per-point means (in replica order, the batch
+//!   pipelines' f64 summation order) and CSV export.
+//! * [`catalog`] — the built-in campaign definitions: every table, figure
+//!   and ablation of the paper plus the policy arena and automotive
+//!   extensions, run by `chebymc exp` and `chebymc serve`.
 
 #![warn(missing_docs)]
 
@@ -135,6 +136,36 @@ impl Error for ExpError {
 impl From<chebymc_core::CoreError> for ExpError {
     fn from(e: chebymc_core::CoreError) -> Self {
         ExpError::Core(e)
+    }
+}
+
+impl From<mc_opt::OptError> for ExpError {
+    fn from(e: mc_opt::OptError) -> Self {
+        ExpError::Core(e.into())
+    }
+}
+
+impl From<mc_task::TaskError> for ExpError {
+    fn from(e: mc_task::TaskError) -> Self {
+        ExpError::Core(e.into())
+    }
+}
+
+impl From<mc_sched::SchedError> for ExpError {
+    fn from(e: mc_sched::SchedError) -> Self {
+        ExpError::Core(e.into())
+    }
+}
+
+impl From<mc_exec::ExecError> for ExpError {
+    fn from(e: mc_exec::ExecError) -> Self {
+        ExpError::Config(format!("benchmark error: {e}"))
+    }
+}
+
+impl From<mc_stats::StatsError> for ExpError {
+    fn from(e: mc_stats::StatsError) -> Self {
+        ExpError::Config(format!("statistics error: {e}"))
     }
 }
 

@@ -112,8 +112,8 @@ pub struct Store {
 }
 
 impl Store {
-    /// A memory-only store for in-process runs (the bench binaries) —
-    /// same validation, no file.
+    /// A memory-only store for in-process runs and tests — same
+    /// validation, no file.
     #[must_use]
     pub fn in_memory(spec: &CampaignSpec) -> Self {
         Store {

@@ -197,22 +197,6 @@ impl Histogram {
         }
         self.counts.iter().position(|&c| c == max)
     }
-
-    /// Renders a compact ASCII bar chart (one line per bin), for experiment
-    /// binaries that print Fig. 1-style distribution shapes.
-    pub fn to_ascii(&self, width: usize) -> String {
-        let max = self.counts.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (i, &c) in self.counts.iter().enumerate() {
-            let (lo, hi) = self.bin_edges(i);
-            let bar_len = (c as f64 / max as f64 * width as f64).round() as usize;
-            out.push_str(&format!(
-                "[{lo:>12.3e}, {hi:>12.3e}) |{:<width$}| {c}\n",
-                "#".repeat(bar_len),
-            ));
-        }
-        out
-    }
 }
 
 /// Empirical cumulative distribution function over a sorted copy of the
@@ -391,14 +375,6 @@ mod tests {
         assert_eq!(h.mode_bin(), Some(1));
         assert!((h.fraction(1) - 0.75).abs() < 1e-12);
         assert!((h.fraction(0) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ascii_render_contains_all_bins() {
-        let h = Histogram::from_samples(&[1.0, 2.0, 3.0], 3).unwrap();
-        let art = h.to_ascii(20);
-        assert_eq!(art.lines().count(), 3);
-        assert!(art.contains('#'));
     }
 
     #[test]

@@ -117,7 +117,7 @@ USAGE:
 
   chebymc trace summary <trace.jsonl>
       Summarize an observability trace produced by `exp run --trace`
-      (or CHEBYMC_TRACE with the bench binaries): per-span durations,
+      (or CHEBYMC_TRACE with the ga_perf bench): per-span durations,
       counters, tracked values, and latency histogram quantiles.
 
   chebymc fault sweep [--seed <n>] [--count <n>] [--ops <m>]
@@ -870,7 +870,7 @@ fn exp_list() -> Result<(), Box<dyn std::error::Error>> {
     for name in catalog::names() {
         let c = catalog::build(name, &catalog::CatalogOptions::default())?;
         println!(
-            "{name:16} {} points × {} replicas = {} units (default scale)",
+            "{name:24} {} points × {} replicas = {} units (default scale)",
             c.spec.points.len(),
             c.spec.replicas,
             c.spec.total_units()

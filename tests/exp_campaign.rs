@@ -253,7 +253,10 @@ fn exp_list_names_the_catalog() {
     let out = chebymc(&["exp", "list"]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for name in ["fig5", "table2", "ablation_sigma"] {
-        assert!(text.contains(name), "{text}");
-    }
+    let listed: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let catalog: Vec<&str> = chebymc::exp::catalog::names().collect();
+    assert_eq!(listed, catalog, "{text}");
 }

@@ -1,6 +1,7 @@
 //! Small-scale checks of the paper's headline claims — the qualitative
 //! *shapes* of its tables and figures, run fast enough for CI. The full
-//! regeneration lives in `crates/bench`'s experiment binaries.
+//! regeneration is the `chebymc exp` catalog (`scripts/regen_results.sh`
+//! writes every table to `results/`).
 
 use chebymc::core::policy::paper_lambda_baselines;
 use chebymc::prelude::*;
