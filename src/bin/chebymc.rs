@@ -135,6 +135,7 @@ Workload files are validated JSON; see `chebymc generate` for a template.
 ";
 
 fn main() -> ExitCode {
+    restore_default_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
@@ -146,6 +147,31 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// Restores the default `SIGPIPE` disposition, which the Rust runtime
+/// sets to "ignore". A closed stdout (`chebymc generate | head -2`) then
+/// ends the process quietly, as it does any Unix filter, instead of
+/// making the next `println!` panic on `EPIPE`. Sockets are unaffected:
+/// the standard library sends with `MSG_NOSIGNAL` (`SO_NOSIGPIPE` on
+/// Apple targets), so `serve` and `worker` still see a hung-up peer as a
+/// write error.
+#[cfg(unix)]
+fn restore_default_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` only swaps the process-wide disposition of SIGPIPE
+    // for the default one. It runs first thing in `main`, before any
+    // thread exists, and installs no handler of ours.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_default_sigpipe() {}
 
 fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let Some(command) = args.first() else {

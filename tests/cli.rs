@@ -2,8 +2,9 @@
 //! workload file, analyze, design, and simulate it through real process
 //! invocations.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn chebymc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_chebymc"))
@@ -16,6 +17,47 @@ fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("chebymc-cli-test-{}-{name}", std::process::id()));
     p
+}
+
+#[test]
+fn closed_stdout_ends_the_process_quietly() {
+    // A 1000-runnable workload is several hundred kilobytes, far more than
+    // a pipe buffers, so writes continue after the reader hangs up.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_chebymc"))
+        .args([
+            "generate",
+            "--family",
+            "automotive",
+            "--u",
+            "0.7",
+            "--seed",
+            "1",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .read_line(&mut first)
+        .expect("first line arrives");
+    // The reader is dropped: the pipe is closed mid-output.
+    let out = child.wait_with_output().expect("process ends");
+    assert_eq!(first.trim(), "{");
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    #[cfg(unix)]
+    {
+        use std::os::unix::process::ExitStatusExt;
+        assert!(
+            out.status.success() || out.status.signal() == Some(13),
+            "{:?}",
+            out.status
+        );
+    }
 }
 
 #[test]
