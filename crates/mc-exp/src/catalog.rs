@@ -4,7 +4,7 @@
 //!
 //! Each entry pairs a [`CampaignSpec`] (the axis and replication) with a
 //! [`UnitRunner`] (how one unit is computed), usually a closure over the
-//! library functions the experiment exercises. One table, [`CATALOG`],
+//! library functions the experiment exercises. One table, `CATALOG`,
 //! names every campaign and its builder, so a campaign cannot be listed
 //! without being buildable.
 //!
