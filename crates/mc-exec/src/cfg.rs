@@ -916,59 +916,78 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn chain_wcet_is_sum(costs in proptest::collection::vec(0u64..1_000, 1..50)) {
-                let mut g = Cfg::new();
-                let nodes: Vec<NodeId> =
-                    costs.iter().map(|&c| g.add_node("n", c)).collect();
-                for w in nodes.windows(2) {
-                    g.add_edge(w[0], w[1]).unwrap();
-                }
-                g.set_entry(nodes[0]).unwrap();
-                g.set_exit(*nodes.last().unwrap()).unwrap();
-                prop_assert_eq!(g.wcet().unwrap(), costs.iter().sum::<u64>());
-            }
+        #[test]
+        fn chain_wcet_is_sum() {
+            assert_prop(
+                &PropConfig::named("chain_wcet_is_sum"),
+                |rng| {
+                    let n = rng.range_u64(1, 49);
+                    (0..n).map(|_| rng.below(1_000)).collect::<Vec<u64>>()
+                },
+                |raw| {
+                    // A shrunk, empty draw still builds one node.
+                    let costs = if raw.is_empty() { vec![0] } else { raw.clone() };
+                    let mut g = Cfg::new();
+                    let nodes: Vec<NodeId> = costs.iter().map(|&c| g.add_node("n", c)).collect();
+                    for w in nodes.windows(2) {
+                        g.add_edge(w[0], w[1]).unwrap();
+                    }
+                    g.set_entry(nodes[0]).unwrap();
+                    g.set_exit(*nodes.last().unwrap()).unwrap();
+                    assert_eq!(g.wcet().unwrap(), costs.iter().sum::<u64>());
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn diamond_wcet_is_max_branch(t in 0u64..1_000, e in 0u64..1_000) {
-                let mut g = Cfg::new();
-                let entry = g.add_node("entry", 1);
-                let then_n = g.add_node("t", t);
-                let else_n = g.add_node("e", e);
-                let exit = g.add_node("exit", 1);
-                g.add_edge(entry, then_n).unwrap();
-                g.add_edge(entry, else_n).unwrap();
-                g.add_edge(then_n, exit).unwrap();
-                g.add_edge(else_n, exit).unwrap();
-                g.set_entry(entry).unwrap();
-                g.set_exit(exit).unwrap();
-                prop_assert_eq!(g.wcet().unwrap(), 2 + t.max(e));
-            }
+        #[test]
+        fn diamond_wcet_is_max_branch() {
+            assert_prop(
+                &PropConfig::named("diamond_wcet_is_max_branch"),
+                |rng| (rng.below(1_000), rng.below(1_000)),
+                |&(t, e)| {
+                    let mut g = Cfg::new();
+                    let entry = g.add_node("entry", 1);
+                    let then_n = g.add_node("t", t);
+                    let else_n = g.add_node("e", e);
+                    let exit = g.add_node("exit", 1);
+                    g.add_edge(entry, then_n).unwrap();
+                    g.add_edge(entry, else_n).unwrap();
+                    g.add_edge(then_n, exit).unwrap();
+                    g.add_edge(else_n, exit).unwrap();
+                    g.set_entry(entry).unwrap();
+                    g.set_exit(exit).unwrap();
+                    assert_eq!(g.wcet().unwrap(), 2 + t.max(e));
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn loop_wcet_is_affine_in_bound(
-                bound in 0u64..10_000,
-                header_cost in 0u64..100,
-                body_cost in 0u64..100,
-            ) {
-                let mut g = Cfg::new();
-                let entry = g.add_node("entry", 0);
-                let header = g.add_node("h", header_cost);
-                let body = g.add_node("b", body_cost);
-                let exit = g.add_node("exit", 0);
-                g.add_edge(entry, header).unwrap();
-                g.add_edge(header, body).unwrap();
-                g.add_edge(body, header).unwrap();
-                g.add_edge(header, exit).unwrap();
-                g.set_entry(entry).unwrap();
-                g.set_exit(exit).unwrap();
-                g.set_loop_bound(header, bound).unwrap();
-                let expect = (bound + 1) * header_cost + bound * body_cost;
-                prop_assert_eq!(g.wcet().unwrap(), expect);
-            }
+        #[test]
+        fn loop_wcet_is_affine_in_bound() {
+            assert_prop(
+                &PropConfig::named("loop_wcet_is_affine_in_bound"),
+                |rng| (rng.below(10_000), rng.below(100), rng.below(100)),
+                |&(bound, header_cost, body_cost)| {
+                    let mut g = Cfg::new();
+                    let entry = g.add_node("entry", 0);
+                    let header = g.add_node("h", header_cost);
+                    let body = g.add_node("b", body_cost);
+                    let exit = g.add_node("exit", 0);
+                    g.add_edge(entry, header).unwrap();
+                    g.add_edge(header, body).unwrap();
+                    g.add_edge(body, header).unwrap();
+                    g.add_edge(header, exit).unwrap();
+                    g.set_entry(entry).unwrap();
+                    g.set_exit(exit).unwrap();
+                    g.set_loop_bound(header, bound).unwrap();
+                    let expect = (bound + 1) * header_cost + bound * body_cost;
+                    assert_eq!(g.wcet().unwrap(), expect);
+                    Ok(())
+                },
+            );
         }
     }
 }

@@ -171,9 +171,17 @@ fn tokenize(src: &str) -> Result<Vec<Spanned>, ParseError> {
     Ok(out)
 }
 
+/// How deeply loop bodies and branch arms may nest. Parsing recurses once
+/// per level, so without a cap the input would choose the stack depth;
+/// 128 is `serde_json`'s default limit for the workspace's other input
+/// format.
+const MAX_DEPTH: usize = 128;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Bodies entered and not yet closed.
+    depth: usize,
 }
 
 impl Parser {
@@ -254,6 +262,20 @@ impl Parser {
         self.number(&format!("value for `{key}`"))
     }
 
+    /// `{ STATEMENTS }`, one nesting level deeper; `what` names the body
+    /// in error messages.
+    fn body(&mut self, what: &str) -> Result<Vec<Program>, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err_here(format!("{what} nests more than {MAX_DEPTH} levels deep")));
+        }
+        self.expect(Tok::LBrace, &format!("`{{` opening the {what}"))?;
+        self.depth += 1;
+        let items = self.sequence(true)?;
+        self.depth -= 1;
+        self.expect(Tok::RBrace, &format!("`}}` closing the {what}"))?;
+        Ok(items)
+    }
+
     fn sequence(&mut self, stop_at_rbrace: bool) -> Result<Vec<Program>, ParseError> {
         let mut items = Vec::new();
         loop {
@@ -303,9 +325,7 @@ impl Parser {
                             bound.ok_or_else(|| self.err_here("loop requires `bound=N`"))?;
                         let min = min.unwrap_or(0);
                         let avg = avg.unwrap_or((min + bound) as f64 / 2.0);
-                        self.expect(Tok::LBrace, "`{` opening the loop body")?;
-                        let body = self.sequence(true)?;
-                        self.expect(Tok::RBrace, "`}` closing the loop body")?;
+                        let body = self.body("loop body")?;
                         items.push(Program::variable_loop(
                             BasicBlock::new(name, header_cost),
                             bound,
@@ -323,16 +343,12 @@ impl Parser {
                             return Err(self.err_here("expected `p=PROB` after branch cost"));
                         }
                         let p = self.keyed_number("p")?;
-                        self.expect(Tok::LBrace, "`{` opening the then-arm")?;
-                        let then_branch = self.sequence(true)?;
-                        self.expect(Tok::RBrace, "`}` closing the then-arm")?;
+                        let then_branch = self.body("then-arm")?;
                         let else_kw = self.ident("`else`")?;
                         if else_kw != "else" {
                             return Err(self.err_here("expected `else`"));
                         }
-                        self.expect(Tok::LBrace, "`{` opening the else-arm")?;
-                        let else_branch = self.sequence(true)?;
-                        self.expect(Tok::RBrace, "`}` closing the else-arm")?;
+                        let else_branch = self.body("else-arm")?;
                         items.push(Program::branch(
                             BasicBlock::new(name, cond_cost),
                             Program::Seq(then_branch),
@@ -358,7 +374,8 @@ impl Parser {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with line/column on syntax errors; semantic
+/// Returns a [`ParseError`] with line/column on syntax errors, including
+/// bodies nested more than 128 levels deep; semantic
 /// violations (probabilities out of range, `min > bound`) surface through
 /// [`Program::validate`] as [`ExecError::InvalidProgram`].
 ///
@@ -375,7 +392,11 @@ impl Parser {
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ExecError> {
     let toks = tokenize(src)?;
-    let mut parser = Parser { toks, pos: 0 };
+    let mut parser = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let items = parser.sequence(false)?;
     let program = Program::Seq(items);
     program.validate()?;
@@ -548,6 +569,22 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_capped_at_128_levels() {
+        let nested = |levels: usize| {
+            let open = "loop l 1 bound=1 {\n".repeat(levels);
+            format!("{open}block b 1;{}", "}".repeat(levels))
+        };
+        assert!(parse_program(&nested(MAX_DEPTH)).is_ok());
+        // The error points at the opening `{` of level 129.
+        let err = parse_program(&nested(MAX_DEPTH + 1))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("at 129:18"), "{err}");
+        assert!(err.contains("more than 128 levels"), "{err}");
+        assert!(parse_program(&nested(50_000)).is_err());
+    }
+
+    #[test]
     fn empty_source_is_an_empty_program() {
         let p = parse_program("  # nothing but a comment\n").unwrap();
         assert_eq!(p.wcet(), 0);
@@ -555,40 +592,48 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, FaultRng, PropConfig};
 
-        fn arb_program() -> impl Strategy<Value = Program> {
-            let leaf = (0u64..100).prop_map(|c| Program::block("b", c));
-            leaf.prop_recursive(3, 16, 3, |inner| {
-                prop_oneof![
-                    proptest::collection::vec(inner.clone(), 1..3).prop_map(Program::seq),
-                    (inner.clone(), inner.clone(), 0u64..20).prop_map(|(t, e, c)| {
-                        Program::branch(BasicBlock::new("c", c), t, e, 0.5)
-                    }),
-                    (inner, 0u64..8, 0u64..20).prop_map(|(b, bound, c)| {
-                        Program::variable_loop(
-                            BasicBlock::new("h", c),
-                            bound,
-                            0,
-                            bound as f64 / 2.0,
-                            b,
-                        )
-                    }),
-                ]
-            })
+        /// A random program nesting `depth` levels of sequences,
+        /// branches and loops over single blocks.
+        fn arb_program(rng: &mut FaultRng, depth: usize) -> Program {
+            if depth == 0 {
+                return Program::block("b", rng.below(100));
+            }
+            match rng.below(3) {
+                0 => {
+                    let n = rng.range_u64(1, 2);
+                    Program::seq((0..n).map(|_| arb_program(rng, depth - 1)))
+                }
+                1 => {
+                    let (t, e) = (arb_program(rng, depth - 1), arb_program(rng, depth - 1));
+                    Program::branch(BasicBlock::new("c", rng.below(20)), t, e, 0.5)
+                }
+                _ => {
+                    let b = arb_program(rng, depth - 1);
+                    let (bound, c) = (rng.below(8), rng.below(20));
+                    Program::variable_loop(BasicBlock::new("h", c), bound, 0, bound as f64 / 2.0, b)
+                }
+            }
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            #[test]
-            fn print_then_parse_preserves_analyses(p in arb_program()) {
-                let src = to_source(&p);
-                let back = parse_program(&src).unwrap();
-                prop_assert_eq!(back.wcet(), p.wcet());
-                prop_assert_eq!(back.bcet(), p.bcet());
-                prop_assert!((back.acet_estimate() - p.acet_estimate()).abs() < 1e-9);
-            }
+        #[test]
+        fn print_then_parse_preserves_analyses() {
+            assert_prop(
+                &PropConfig::named("print_then_parse_preserves_analyses"),
+                // A program seed and its depth, which shrinks toward a
+                // single block.
+                |rng| (rng.next_u64(), 3usize),
+                |&(seed, depth)| {
+                    let p = arb_program(&mut FaultRng::new(seed), depth);
+                    let src = to_source(&p);
+                    let back = parse_program(&src).unwrap();
+                    assert_eq!(back.wcet(), p.wcet());
+                    assert_eq!(back.bcet(), p.bcet());
+                    assert!((back.acet_estimate() - p.acet_estimate()).abs() < 1e-9);
+                    Ok(())
+                },
+            );
         }
     }
 }

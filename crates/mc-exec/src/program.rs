@@ -502,41 +502,63 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, FaultRng, PropConfig};
 
-        /// Random structured programs, depth-bounded.
-        fn arb_program() -> impl Strategy<Value = Program> {
-            let leaf = (0u64..100).prop_map(|c| Program::block("b", c));
-            leaf.prop_recursive(4, 32, 4, |inner| {
-                prop_oneof![
-                    proptest::collection::vec(inner.clone(), 0..4).prop_map(Program::seq),
-                    (inner.clone(), inner.clone(), 0u64..20, 0.0..=1.0f64)
-                        .prop_map(|(t, e, c, p)| Program::branch(BasicBlock::new("c", c), t, e, p)),
-                    (inner, 0u64..8, 0u64..8, 0u64..20).prop_map(|(b, bound, min, c)| {
-                        let min = min.min(bound);
-                        let avg = (min + bound) as f64 / 2.0;
-                        Program::variable_loop(BasicBlock::new("h", c), bound, min, avg, b)
-                    }),
-                ]
-            })
+        /// A random structured program nesting `depth` levels of
+        /// sequences, branches and loops over single blocks.
+        fn arb_program(rng: &mut FaultRng, depth: usize) -> Program {
+            if depth == 0 {
+                return Program::block("b", rng.below(100));
+            }
+            match rng.below(3) {
+                0 => {
+                    let n = rng.below(4);
+                    Program::seq((0..n).map(|_| arb_program(rng, depth - 1)))
+                }
+                1 => {
+                    let (t, e) = (arb_program(rng, depth - 1), arb_program(rng, depth - 1));
+                    Program::branch(BasicBlock::new("c", rng.below(20)), t, e, rng.f64())
+                }
+                _ => {
+                    let b = arb_program(rng, depth - 1);
+                    let (bound, min, c) = (rng.below(8), rng.below(8), rng.below(20));
+                    let min = min.min(bound);
+                    let avg = (min + bound) as f64 / 2.0;
+                    Program::variable_loop(BasicBlock::new("h", c), bound, min, avg, b)
+                }
+            }
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn analyses_are_ordered() {
+            assert_prop(
+                &PropConfig::named("analyses_are_ordered"),
+                // A program seed and its depth, which shrinks toward a
+                // single block.
+                |rng| (rng.next_u64(), 4usize),
+                |&(seed, depth)| {
+                    let p = arb_program(&mut FaultRng::new(seed), depth);
+                    p.validate().unwrap();
+                    assert!(p.bcet() <= p.wcet());
+                    assert!(p.bcet() as f64 <= p.acet_estimate() + 1e-9);
+                    assert!(p.acet_estimate() <= p.wcet() as f64 + 1e-9);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn analyses_are_ordered(p in arb_program()) {
-                p.validate().unwrap();
-                prop_assert!(p.bcet() <= p.wcet());
-                prop_assert!(p.bcet() as f64 <= p.acet_estimate() + 1e-9);
-                prop_assert!(p.acet_estimate() <= p.wcet() as f64 + 1e-9);
-            }
-
-            #[test]
-            fn tree_and_graph_wcet_agree(p in arb_program()) {
-                let cfg = p.to_cfg().unwrap();
-                prop_assert_eq!(cfg.wcet().unwrap(), p.wcet());
-            }
+        #[test]
+        fn tree_and_graph_wcet_agree() {
+            assert_prop(
+                &PropConfig::named("tree_and_graph_wcet_agree"),
+                |rng| (rng.next_u64(), 4usize),
+                |&(seed, depth)| {
+                    let p = arb_program(&mut FaultRng::new(seed), depth);
+                    let cfg = p.to_cfg().unwrap();
+                    assert_eq!(cfg.wcet().unwrap(), p.wcet());
+                    Ok(())
+                },
+            );
         }
     }
 }

@@ -5,13 +5,14 @@
 //! claims of the scheduler/statistics crates *falsifiable at scale*,
 //! deterministically, from single-integer seeds.
 //!
-//! Three layers, all `std`-only (the single dependency is `mc-task`,
-//! whose types the generators produce):
+//! The layers use `std` alone. The crate's one dependency is `mc-task`,
+//! whose types the generators produce; it brings `mc-stats` and the
+//! vendored `rand` into the graph too. `mc-task` and `mc-stats` therefore
+//! reach the harness through dev-dependency cycles (DESIGN.md §12).
 //!
-//! * [`rng`] + [`prop`] — a seeded SplitMix64 PRNG and a small
-//!   property-testing harness (generation, iteration-bounded shrinking,
-//!   reproducing-seed failure reports). No external quickcheck: the
-//!   harness must sit *below* every crate it is used to test.
+//! * [`rng`] + [`prop`] — a seeded SplitMix64 PRNG and the workspace's
+//!   only property-testing harness (generation, iteration-bounded
+//!   shrinking, reproducing-seed failure reports).
 //! * [`schedule`] + [`io`] — seed-derived fault schedules and the
 //!   [`io::StoreIo`] trait with a production [`io::RealFile`] and an
 //!   in-memory [`io::SimDisk`] that injects failed/short writes, failed

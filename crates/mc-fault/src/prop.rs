@@ -1,13 +1,16 @@
 //! A minimal seeded property-testing harness.
 //!
-//! Deliberately smaller than quickcheck/proptest: a case is a pure
-//! function of `mix64(config_seed, case_index)`, shrinking is a greedy,
+//! The workspace's only property harness. A case is a pure function of
+//! `mix64(config_seed, case_index)`, shrinking is a greedy,
 //! iteration-bounded walk over candidate simplifications, and every
-//! failure carries the copy-pasteable seed that reproduces it. That is
-//! all the adversarial suites need, and it keeps the harness free of
-//! external dependencies (so even the vendored `rand`/`proptest` stand-ins
-//! are out of its dependency graph — the harness must be usable to test
-//! the crates *under* them).
+//! failure — an `Err` or a panic — carries the copy-pasteable seed that
+//! reproduces it. The module itself uses `std` alone; the crate depends
+//! on `mc-task` (and through it on `mc-stats` and the vendored `rand`),
+//! so those crates reach this harness through dev-dependency cycles.
+//!
+//! A generator draws raw values — unit-interval floats, indices, a case
+//! seed — and the property maps them into its domain, so every shrink
+//! candidate is a valid input.
 //!
 //! ```
 //! use mc_fault::prop::{check, PropConfig, Shrink};
@@ -29,6 +32,7 @@
 
 use crate::rng::{mix64, FaultRng};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Configuration of one property check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,6 +126,16 @@ impl Shrink for f64 {
     }
 }
 
+impl Shrink for bool {
+    fn shrink(&self) -> Vec<Self> {
+        if *self {
+            vec![false]
+        } else {
+            Vec::new()
+        }
+    }
+}
+
 impl<T: Shrink + Clone> Shrink for Vec<T> {
     fn shrink(&self) -> Vec<Self> {
         let mut out = Vec::new();
@@ -130,8 +144,12 @@ impl<T: Shrink + Clone> Shrink for Vec<T> {
             return out;
         }
         // Structural shrinks first: halves, then single-element removals.
-        out.push(self[..n / 2].to_vec());
-        out.push(self[n / 2..].to_vec());
+        // A one-element vector has no proper halves: its upper "half" is
+        // itself, which would spend the whole shrink budget adopting it.
+        if n > 1 {
+            out.push(self[..n / 2].to_vec());
+            out.push(self[n / 2..].to_vec());
+        }
         for i in 0..n.min(8) {
             let mut v = self.clone();
             v.remove(i);
@@ -149,41 +167,29 @@ impl<T: Shrink + Clone> Shrink for Vec<T> {
     }
 }
 
-impl<A: Shrink + Clone, B: Shrink + Clone> Shrink for (A, B) {
-    fn shrink(&self) -> Vec<Self> {
-        let mut out: Vec<Self> = self
-            .0
-            .shrink()
-            .into_iter()
-            .map(|a| (a, self.1.clone()))
-            .collect();
-        out.extend(self.1.shrink().into_iter().map(|b| (self.0.clone(), b)));
-        out
-    }
+/// Each element's candidates in turn, the others held fixed.
+macro_rules! impl_shrink_for_tuples {
+    ($(($($name:ident . $idx:tt),+))*) => {$(
+        impl<$($name: Shrink + Clone),+> Shrink for ($($name,)+) {
+            fn shrink(&self) -> Vec<Self> {
+                let mut out = Vec::new();
+                $(
+                    for candidate in self.$idx.shrink() {
+                        let mut t = self.clone();
+                        t.$idx = candidate;
+                        out.push(t);
+                    }
+                )+
+                out
+            }
+        }
+    )*};
 }
-
-impl<A: Shrink + Clone, B: Shrink + Clone, C: Shrink + Clone> Shrink for (A, B, C) {
-    fn shrink(&self) -> Vec<Self> {
-        let mut out: Vec<Self> = self
-            .0
-            .shrink()
-            .into_iter()
-            .map(|a| (a, self.1.clone(), self.2.clone()))
-            .collect();
-        out.extend(
-            self.1
-                .shrink()
-                .into_iter()
-                .map(|b| (self.0.clone(), b, self.2.clone())),
-        );
-        out.extend(
-            self.2
-                .shrink()
-                .into_iter()
-                .map(|c| (self.0.clone(), self.1.clone(), c)),
-        );
-        out
-    }
+impl_shrink_for_tuples! {
+    (A.0, B.1)
+    (A.0, B.1, C.2)
+    (A.0, B.1, C.2, D.3)
+    (A.0, B.1, C.2, D.3, E.4)
 }
 
 /// A failed property: the (possibly shrunk) counterexample plus everything
@@ -237,7 +243,8 @@ impl<T: fmt::Debug> fmt::Display for Counterexample<T> {
 ///
 /// `generate` must be a pure function of the `FaultRng` it is handed; the
 /// harness seeds a fresh generator per case so any failing case replays
-/// from its `case_seed` alone.
+/// from its `case_seed` alone. A property that panics fails like one that
+/// returns `Err`, with the panic message as its failure message.
 ///
 /// # Errors
 ///
@@ -252,7 +259,7 @@ where
         let case_seed = mix64(cfg.seed, u64::from(case_index));
         let mut rng = FaultRng::new(case_seed);
         let value = generate(&mut rng);
-        if let Err(message) = prop(&value) {
+        if let Err(message) = run(&prop, &value) {
             let (value, message, shrink_iters, shrunk) =
                 shrink_failure(value, message, &prop, cfg.max_shrink_iters);
             return Err(Counterexample {
@@ -268,6 +275,22 @@ where
         }
     }
     Ok(cfg.cases)
+}
+
+/// Runs `prop` on one value, turning a panic (an `assert!` or `unwrap()`
+/// in the property body) into a failure so it keeps its case seed.
+fn run<T, P>(prop: &P, value: &T) -> Result<(), String>
+where
+    P: Fn(&T) -> Result<(), String>,
+{
+    catch_unwind(AssertUnwindSafe(|| prop(value))).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| (*m).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a non-string payload".to_owned());
+        Err(format!("panicked: {message}"))
+    })
 }
 
 /// Greedy bounded shrink: repeatedly adopt the first failing candidate
@@ -290,7 +313,7 @@ where
                 break 'outer;
             }
             iters += 1;
-            if let Err(m) = prop(&candidate) {
+            if let Err(m) = run(prop, &candidate) {
                 value = candidate;
                 message = m;
                 shrunk = true;
@@ -421,6 +444,40 @@ mod tests {
         // A minimal failing vector is a single odd element (shrunk toward 1).
         assert_eq!(cex.value.len(), 1, "shrunk to one element: {:?}", cex.value);
         assert_eq!(cex.value[0] % 2, 1);
+        assert!(
+            cex.shrink_iters < cfg.max_shrink_iters,
+            "a one-element vector must not re-adopt itself until the budget runs out"
+        );
+    }
+
+    #[test]
+    fn a_panicking_property_keeps_its_case_seed() {
+        let cfg = PropConfig::named("unwrap-le-1000");
+        let cex = check(
+            &cfg,
+            |rng| rng.below(10_000),
+            |&v| {
+                let small: Option<u64> = (v <= 1_000).then_some(v);
+                small.unwrap();
+                Ok(())
+            },
+        )
+        .unwrap_err();
+        assert!(cex.message.starts_with("panicked"), "{}", cex.message);
+        assert!(cex.value > 1_000, "shrinking adopts only panicking values");
+        let regenerated = FaultRng::new(cex.case_seed).below(10_000);
+        assert!(regenerated > 1_000, "case seed must reproduce the panic");
+    }
+
+    #[test]
+    fn tuples_shrink_every_element() {
+        let cex = check(
+            &PropConfig::named("always-fails"),
+            |rng| (rng.below(50), rng.bool(0.5), rng.f64(), 7usize, u64::MAX),
+            |_| Err("nope".into()),
+        )
+        .unwrap_err();
+        assert_eq!(cex.value, (0, false, 0.0, 0, 0));
     }
 
     #[test]
@@ -445,5 +502,7 @@ mod tests {
                 assert!(s.abs() < v.abs() || (v != 0.0 && s == 0.0));
             }
         }
+        assert_eq!(true.shrink(), vec![false]);
+        assert!(false.shrink().is_empty());
     }
 }

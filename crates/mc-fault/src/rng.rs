@@ -25,9 +25,8 @@ pub fn mix64(seed: u64, stream: u64) -> u64 {
 /// A tiny deterministic generator (SplitMix64) for the property harness
 /// and the fault schedules.
 ///
-/// Not cryptographic, not `rand`-compatible by design: the harness must be
-/// usable from crates that do not (and must not) depend on the workspace's
-/// vendored `rand`.
+/// Not cryptographic, and deliberately not `rand`: the stream is pinned
+/// here, so a printed case seed replays whatever the vendored `rand` does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRng {
     state: u64,

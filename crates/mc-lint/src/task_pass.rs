@@ -365,27 +365,28 @@ mod tests {
 
     mod properties {
         use super::*;
+        use mc_fault::{assert_prop, PropConfig};
         use mc_task::generate::{generate_mixed_taskset, GeneratorConfig};
-        use proptest::prelude::*;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            /// Generated sets obey every *error*-level invariant; only
-            /// warnings/infos may appear (e.g. T010 at high bounds).
-            #[test]
-            fn generated_sets_have_no_lint_errors(
-                seed in 0u64..5_000,
-                bound in 0.1..1.4f64,
-            ) {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let ts = generate_mixed_taskset(bound, &GeneratorConfig::default(), &mut rng)
-                    .unwrap();
-                let report = lint_taskset(&ts);
-                prop_assert!(!report.has_errors(), "{}", report.render_human());
-            }
+        /// Generated sets obey every *error*-level invariant; only
+        /// warnings/infos may appear (e.g. T010 at high bounds).
+        #[test]
+        fn generated_sets_have_no_lint_errors() {
+            assert_prop(
+                &PropConfig::named("generated_sets_have_no_lint_errors").cases(24),
+                |rng| (rng.below(5_000), rng.f64()),
+                |&(seed, u_bound)| {
+                    let bound = 0.1 + 1.3 * u_bound;
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let ts = generate_mixed_taskset(bound, &GeneratorConfig::default(), &mut rng)
+                        .unwrap();
+                    let report = lint_taskset(&ts);
+                    assert!(!report.has_errors(), "{}", report.render_human());
+                    Ok(())
+                },
+            );
         }
     }
 }

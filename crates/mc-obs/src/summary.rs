@@ -523,7 +523,7 @@ fn parse_flat_object(line: &str) -> Result<Fields, String> {
             p.skip_ws();
             p.expect(b':')?;
             p.skip_ws();
-            let val = p.parse_value()?;
+            let val = p.parse_value(1)?;
             fields.push((key, val));
             p.skip_ws();
             match p.next() {
@@ -539,6 +539,11 @@ fn parse_flat_object(line: &str) -> Result<Fields, String> {
     }
     Ok(Fields(fields))
 }
+
+/// How deeply a record's arrays may nest, counting the record itself: the
+/// parser recurses once per level, so without a cap a hostile trace would
+/// choose the stack depth. Traces nest 3 levels; 128 matches `serde_json`.
+const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -569,9 +574,13 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Val, String> {
+    /// Parses one value inside `depth` enclosing objects and arrays.
+    fn parse_value(&mut self, depth: usize) -> Result<Val, String> {
         match self.peek() {
             Some(b'"') => Ok(Val::Str(self.parse_string()?)),
+            Some(b'[') if depth == MAX_DEPTH => {
+                Err(format!("arrays nest more than {MAX_DEPTH} levels deep"))
+            }
             Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
@@ -582,7 +591,7 @@ impl Parser<'_> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth + 1)?);
                     self.skip_ws();
                     match self.next() {
                         Some(b',') => continue,
@@ -696,6 +705,13 @@ mod tests {
         assert_eq!(h.buckets[3], 5);
         assert_eq!(h.quantile_floor(0.5), bucket_floor(3));
         assert_eq!(h.quantile_floor(1.0), bucket_floor(10));
+    }
+
+    #[test]
+    fn deeply_nested_arrays_are_an_error() {
+        let deep = format!("{{\"k\":\"meta\",\"x\":{}", "[".repeat(200_000));
+        let err = TraceSummary::parse(&deep).unwrap_err().to_string();
+        assert!(err.contains("more than 128 levels"), "{err}");
     }
 
     #[test]

@@ -1291,33 +1291,51 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn result_respects_bounds() {
+            assert_prop(
+                &PropConfig::named("result_respects_bounds").cases(16),
+                |rng| (rng.below(1_000), rng.below(5) as usize),
+                |&(seed, extra_genes)| {
+                    let bounds: Vec<GeneBounds> = (0..1 + extra_genes)
+                        .map(|i| GeneBounds::new(i as f64, i as f64 + 2.0).unwrap())
+                        .collect();
+                    let cfg = GaConfig {
+                        seed,
+                        generations: 10,
+                        population_size: 16,
+                        ..GaConfig::default()
+                    };
+                    let r = optimize(&bounds, |c| c.iter().sum(), &cfg).unwrap();
+                    for (x, b) in r.best.iter().zip(&bounds) {
+                        assert!((b.lo..=b.hi).contains(x));
+                    }
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn result_respects_bounds(seed in 0u64..1_000, genes in 1usize..6) {
-                let bounds: Vec<GeneBounds> = (0..genes)
-                    .map(|i| GeneBounds::new(i as f64, i as f64 + 2.0).unwrap())
-                    .collect();
-                let cfg = GaConfig { seed, generations: 10, population_size: 16, ..GaConfig::default() };
-                let r = optimize(&bounds, |c| c.iter().sum(), &cfg).unwrap();
-                for (x, b) in r.best.iter().zip(&bounds) {
-                    prop_assert!((b.lo..=b.hi).contains(x));
-                }
-            }
-
-            #[test]
-            fn ga_beats_random_baseline(seed in 0u64..200) {
-                // On a smooth unimodal function, 80 generations of GA must
-                // at least match the best of its own initial population.
-                let bounds = [GeneBounds::new(-10.0, 10.0).unwrap(); 3];
-                let f = |c: &[f64]| -c.iter().map(|x| (x - 1.5).powi(2)).sum::<f64>();
-                let cfg = GaConfig { seed, ..GaConfig::default() };
-                let r = optimize(&bounds, f, &cfg).unwrap();
-                prop_assert!(r.best_fitness >= r.history[0].best);
-            }
+        #[test]
+        fn ga_beats_random_baseline() {
+            assert_prop(
+                &PropConfig::named("ga_beats_random_baseline").cases(16),
+                |rng| rng.below(200),
+                |&seed| {
+                    // On a smooth unimodal function, 80 generations of GA must
+                    // at least match the best of its own initial population.
+                    let bounds = [GeneBounds::new(-10.0, 10.0).unwrap(); 3];
+                    let f = |c: &[f64]| -c.iter().map(|x| (x - 1.5).powi(2)).sum::<f64>();
+                    let cfg = GaConfig {
+                        seed,
+                        ..GaConfig::default()
+                    };
+                    let r = optimize(&bounds, f, &cfg).unwrap();
+                    assert!(r.best_fitness >= r.history[0].best);
+                    Ok(())
+                },
+            );
         }
     }
 }

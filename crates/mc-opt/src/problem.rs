@@ -520,30 +520,40 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn objective_is_in_unit_square(n0 in 0.0..54.0f64, n1 in 0.0..36.0f64) {
-                let p = problem();
-                let o = p.objective(&[n0, n1]);
-                prop_assert!((0.0..=1.0).contains(&o.p_ms));
-                prop_assert!((0.0..=1.0).contains(&o.max_u_lc_lo));
-                prop_assert!((0.0..=1.0).contains(&o.fitness));
-            }
+        #[test]
+        fn objective_is_in_unit_square() {
+            assert_prop(
+                &PropConfig::named("objective_is_in_unit_square"),
+                |rng| (rng.f64(), rng.f64()),
+                |&(u0, u1)| {
+                    let p = problem();
+                    let o = p.objective(&[54.0 * u0, 36.0 * u1]);
+                    assert!((0.0..=1.0).contains(&o.p_ms));
+                    assert!((0.0..=1.0).contains(&o.max_u_lc_lo));
+                    assert!((0.0..=1.0).contains(&o.fitness));
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn p_ms_decreases_and_u_hc_lo_increases_with_n(
-                n in 0.0..35.0f64,
-                dn in 0.0..1.0f64,
-            ) {
-                let p = problem();
-                let a = p.objective(&[n, n]);
-                let b = p.objective(&[n + dn, n + dn]);
-                prop_assert!(b.p_ms <= a.p_ms + 1e-12);
-                prop_assert!(b.u_hc_lo >= a.u_hc_lo - 1e-12);
-                prop_assert!(b.max_u_lc_lo <= a.max_u_lc_lo + 1e-12);
-            }
+        #[test]
+        fn p_ms_decreases_and_u_hc_lo_increases_with_n() {
+            assert_prop(
+                &PropConfig::named("p_ms_decreases_and_u_hc_lo_increases_with_n"),
+                |rng| (rng.f64(), rng.f64()),
+                |&(u_n, dn)| {
+                    let n = 35.0 * u_n;
+                    let p = problem();
+                    let a = p.objective(&[n, n]);
+                    let b = p.objective(&[n + dn, n + dn]);
+                    assert!(b.p_ms <= a.p_ms + 1e-12);
+                    assert!(b.u_hc_lo >= a.u_hc_lo - 1e-12);
+                    assert!(b.max_u_lc_lo <= a.max_u_lc_lo + 1e-12);
+                    Ok(())
+                },
+            );
         }
     }
 }

@@ -325,41 +325,53 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn dbf_is_monotone_in_t() {
+            assert_prop(
+                &PropConfig::named("dbf_is_monotone_in_t").cases(48),
+                |rng| {
+                    (
+                        rng.below(49),
+                        rng.below(99),
+                        rng.below(99),
+                        rng.below(1_000),
+                        rng.below(1_000),
+                    )
+                },
+                |&(c, d, p, t1, dt)| {
+                    let (c, d, p) = (1 + c, 1 + d, 1 + p);
+                    let d = d.min(p);
+                    let c = c.min(d);
+                    let task = task(0, c, d, p);
+                    let a = task_dbf(&task, ms(t1), Criticality::Lo);
+                    let b = task_dbf(&task, ms(t1 + dt), Criticality::Lo);
+                    assert!(b >= a);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn dbf_is_monotone_in_t(
-                c in 1u64..50,
-                d in 1u64..100,
-                p in 1u64..100,
-                t1 in 0u64..1_000,
-                dt in 0u64..1_000,
-            ) {
-                let d = d.min(p);
-                let c = c.min(d);
-                let task = task(0, c, d, p);
-                let a = task_dbf(&task, ms(t1), Criticality::Lo);
-                let b = task_dbf(&task, ms(t1 + dt), Criticality::Lo);
-                prop_assert!(b >= a);
-            }
-
-            #[test]
-            fn demand_test_agrees_with_utilization_for_implicit_deadlines(
-                seed in 0u64..500,
-            ) {
-                use rand::SeedableRng;
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let cfg = mc_task::generate::GeneratorConfig::default();
-                let u = 0.3 + (seed % 7) as f64 * 0.1;
-                let ts = mc_task::generate::generate_mixed_taskset(u, &cfg, &mut rng).unwrap();
-                // Implicit deadlines: exact test ⇔ U ≤ 1 (budgets at LO).
-                let util: f64 = ts.iter().map(|t| t.u_lo()).sum();
-                let exact = edf_demand_test(&ts, Criticality::Lo, 0).unwrap();
-                prop_assert_eq!(exact.schedulable, util <= 1.0 + 1e-9);
-            }
+        #[test]
+        fn demand_test_agrees_with_utilization_for_implicit_deadlines() {
+            use rand::SeedableRng;
+            assert_prop(
+                &PropConfig::named("demand_test_agrees_with_utilization_for_implicit_deadlines")
+                    .cases(48),
+                |rng| rng.below(500),
+                |&seed| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let cfg = mc_task::generate::GeneratorConfig::default();
+                    let u = 0.3 + (seed % 7) as f64 * 0.1;
+                    let ts = mc_task::generate::generate_mixed_taskset(u, &cfg, &mut rng).unwrap();
+                    // Implicit deadlines: exact test ⇔ U ≤ 1 (budgets at LO).
+                    let util: f64 = ts.iter().map(|t| t.u_lo()).sum();
+                    let exact = edf_demand_test(&ts, Criticality::Lo, 0).unwrap();
+                    assert_eq!(exact.schedulable, util <= 1.0 + 1e-9);
+                    Ok(())
+                },
+            );
         }
     }
 }

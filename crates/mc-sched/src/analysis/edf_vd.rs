@@ -272,49 +272,60 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn max_u_lc_lo_is_feasible_and_maximal(
-                u_hc_lo in 0.0..1.0f64,
-                extra in 0.0..1.0f64,
-            ) {
-                let u_hc_hi = (u_hc_lo + extra).min(1.0);
-                let m = max_u_lc_lo(u_hc_lo, u_hc_hi);
-                prop_assert!((0.0..=1.0).contains(&m));
-                prop_assert!(conditions_hold(u_hc_lo, u_hc_hi, m));
-                if m < 1.0 - 1e-6 {
-                    prop_assert!(!conditions_hold(u_hc_lo, u_hc_hi, m + 1e-5));
-                }
-            }
+        #[test]
+        fn max_u_lc_lo_is_feasible_and_maximal() {
+            assert_prop(
+                &PropConfig::named("max_u_lc_lo_is_feasible_and_maximal"),
+                |rng| (rng.f64(), rng.f64()),
+                |&(u_hc_lo, extra)| {
+                    let u_hc_hi = (u_hc_lo + extra).min(1.0);
+                    let m = max_u_lc_lo(u_hc_lo, u_hc_hi);
+                    assert!((0.0..=1.0).contains(&m));
+                    assert!(conditions_hold(u_hc_lo, u_hc_hi, m));
+                    if m < 1.0 - 1e-6 {
+                        assert!(!conditions_hold(u_hc_lo, u_hc_hi, m + 1e-5));
+                    }
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn max_u_lc_lo_monotone_in_hc_demand(
-                u_hc_lo in 0.0..0.9f64,
-                extra in 0.0..0.5f64,
-                bump in 0.0..0.05f64,
-            ) {
-                let u_hc_hi = (u_hc_lo + extra).min(1.0);
-                let base = max_u_lc_lo(u_hc_lo, u_hc_hi);
-                let more_lo = max_u_lc_lo((u_hc_lo + bump).min(u_hc_hi), u_hc_hi);
-                let more_hi = max_u_lc_lo(u_hc_lo, (u_hc_hi + bump).min(1.0));
-                prop_assert!(more_lo <= base + 1e-9);
-                prop_assert!(more_hi <= base + 1e-9);
-            }
+        #[test]
+        fn max_u_lc_lo_monotone_in_hc_demand() {
+            assert_prop(
+                &PropConfig::named("max_u_lc_lo_monotone_in_hc_demand"),
+                |rng| (rng.f64(), rng.f64(), rng.f64()),
+                |&(u_lo, u_extra, u_bump)| {
+                    let (u_hc_lo, extra, bump) = (0.9 * u_lo, 0.5 * u_extra, 0.05 * u_bump);
+                    let u_hc_hi = (u_hc_lo + extra).min(1.0);
+                    let base = max_u_lc_lo(u_hc_lo, u_hc_hi);
+                    let more_lo = max_u_lc_lo((u_hc_lo + bump).min(u_hc_hi), u_hc_hi);
+                    let more_hi = max_u_lc_lo(u_hc_lo, (u_hc_hi + bump).min(1.0));
+                    assert!(more_lo <= base + 1e-9);
+                    assert!(more_hi <= base + 1e-9);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn x_factor_yields_feasible_lo_schedule(
-                u_hc_lo in 0.01..0.9f64,
-                u_lc_lo in 0.0..0.9f64,
-            ) {
-                if let Some(x) = x_factor(u_hc_lo, u_lc_lo) {
-                    // The shrunken HC demand plus LC demand fits in LO mode:
-                    // u_hc_lo / x + u_lc_lo ≤ 1.
-                    prop_assert!(u_hc_lo / x + u_lc_lo <= 1.0 + 1e-6);
-                    prop_assert!(x > 0.0 && x <= 1.0);
-                }
-            }
+        #[test]
+        fn x_factor_yields_feasible_lo_schedule() {
+            assert_prop(
+                &PropConfig::named("x_factor_yields_feasible_lo_schedule"),
+                |rng| (rng.f64(), rng.f64()),
+                |&(u_hc, u_lc)| {
+                    let (u_hc_lo, u_lc_lo) = (0.01 + 0.89 * u_hc, 0.9 * u_lc);
+                    if let Some(x) = x_factor(u_hc_lo, u_lc_lo) {
+                        // The shrunken HC demand plus LC demand fits in LO mode:
+                        // u_hc_lo / x + u_lc_lo ≤ 1.
+                        assert!(u_hc_lo / x + u_lc_lo <= 1.0 + 1e-6);
+                        assert!(x > 0.0 && x <= 1.0);
+                    }
+                    Ok(())
+                },
+            );
         }
     }
 }

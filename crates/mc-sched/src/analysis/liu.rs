@@ -296,76 +296,86 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn liu_at_most_as_permissive_as_baruah(
-                u_hc_lo in 0.0..1.0f64,
-                extra in 0.0..1.0f64,
-                u_lc_lo in 0.0..1.0f64,
-                f in 0.0..=1.0f64,
-            ) {
-                let u_hc_hi = (u_hc_lo + extra).min(1.0);
-                if conditions_hold(u_hc_lo, u_hc_hi, u_lc_lo, f) {
-                    prop_assert!(super::super::super::edf_vd::conditions_hold(
-                        u_hc_lo, u_hc_hi, u_lc_lo
-                    ));
-                }
-            }
+        #[test]
+        fn liu_at_most_as_permissive_as_baruah() {
+            assert_prop(
+                &PropConfig::named("liu_at_most_as_permissive_as_baruah"),
+                |rng| (rng.f64(), rng.f64(), rng.f64(), rng.f64()),
+                |&(u_hc_lo, extra, u_lc_lo, f)| {
+                    let u_hc_hi = (u_hc_lo + extra).min(1.0);
+                    if conditions_hold(u_hc_lo, u_hc_hi, u_lc_lo, f) {
+                        assert!(super::super::super::edf_vd::conditions_hold(
+                            u_hc_lo, u_hc_hi, u_lc_lo
+                        ));
+                    }
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn max_u_lc_lo_decreases_with_degradation(
-                u_hc_lo in 0.0..0.8f64,
-                extra in 0.0..0.2f64,
-                f1 in 0.0..=1.0f64,
-                f2 in 0.0..=1.0f64,
-            ) {
-                let u_hc_hi = (u_hc_lo + extra).min(1.0);
-                let (fa, fb) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
-                let ma = max_u_lc_lo(u_hc_lo, u_hc_hi, fa);
-                let mb = max_u_lc_lo(u_hc_lo, u_hc_hi, fb);
-                prop_assert!(mb <= ma + 1e-6);
-            }
+        #[test]
+        fn max_u_lc_lo_decreases_with_degradation() {
+            assert_prop(
+                &PropConfig::named("max_u_lc_lo_decreases_with_degradation"),
+                |rng| (rng.f64(), rng.f64(), rng.f64(), rng.f64()),
+                |&(u_lo, u_extra, f1, f2)| {
+                    let (u_hc_lo, extra) = (0.8 * u_lo, 0.2 * u_extra);
+                    let u_hc_hi = (u_hc_lo + extra).min(1.0);
+                    let (fa, fb) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
+                    let ma = max_u_lc_lo(u_hc_lo, u_hc_hi, fa);
+                    let mb = max_u_lc_lo(u_hc_lo, u_hc_hi, fb);
+                    assert!(mb <= ma + 1e-6);
+                    Ok(())
+                },
+            );
+        }
 
-            /// The bisection boundary agrees with `conditions_hold`:
-            /// the conditions are downward-closed in `u_lc_lo`, hold
-            /// strictly below `max_u_lc_lo` and fail strictly above it.
-            #[test]
-            fn max_u_lc_lo_is_the_conditions_flip_point(
-                u_hc_lo in 0.0..0.9f64,
-                extra in 0.0..0.5f64,
-                f in 0.0..=1.0f64,
-                u in 0.0..1.0f64,
-            ) {
-                let u_hc_hi = (u_hc_lo + extra).min(1.0);
-                let m = max_u_lc_lo(u_hc_lo, u_hc_hi, f);
-                if u < m - 1e-6 {
-                    prop_assert!(
-                        conditions_hold(u_hc_lo, u_hc_hi, u, f),
-                        "below flip: u={u} m={m}"
-                    );
-                }
-                if u > m + 1e-6 {
-                    prop_assert!(
-                        !conditions_hold(u_hc_lo, u_hc_hi, u, f),
-                        "above flip: u={u} m={m}"
-                    );
-                }
-            }
+        /// The bisection boundary agrees with `conditions_hold`:
+        /// the conditions are downward-closed in `u_lc_lo`, hold
+        /// strictly below `max_u_lc_lo` and fail strictly above it.
+        #[test]
+        fn max_u_lc_lo_is_the_conditions_flip_point() {
+            assert_prop(
+                &PropConfig::named("max_u_lc_lo_is_the_conditions_flip_point"),
+                |rng| (rng.f64(), rng.f64(), rng.f64(), rng.f64()),
+                |&(u_lo, u_extra, f, u)| {
+                    let (u_hc_lo, extra) = (0.9 * u_lo, 0.5 * u_extra);
+                    let u_hc_hi = (u_hc_lo + extra).min(1.0);
+                    let m = max_u_lc_lo(u_hc_lo, u_hc_hi, f);
+                    if u < m - 1e-6 {
+                        assert!(
+                            conditions_hold(u_hc_lo, u_hc_hi, u, f),
+                            "below flip: u={u} m={m}"
+                        );
+                    }
+                    if u > m + 1e-6 {
+                        assert!(
+                            !conditions_hold(u_hc_lo, u_hc_hi, u, f),
+                            "above flip: u={u} m={m}"
+                        );
+                    }
+                    Ok(())
+                },
+            );
+        }
 
-            /// `degradation = 0` reproduces the paper's closed-form
-            /// `max(U_LC^LO)` (edf_vd Eqs. 11–12) bit-for-bit.
-            #[test]
-            fn zero_degradation_max_matches_edf_vd_exactly(
-                u_hc_lo in 0.0..1.0f64,
-                extra in 0.0..1.0f64,
-            ) {
-                let u_hc_hi = (u_hc_lo + extra).min(1.0);
-                let m = max_u_lc_lo(u_hc_lo, u_hc_hi, 0.0);
-                let e = super::super::super::edf_vd::max_u_lc_lo(u_hc_lo, u_hc_hi);
-                prop_assert_eq!(m.to_bits(), e.to_bits());
-            }
+        /// `degradation = 0` reproduces the paper's closed-form
+        /// `max(U_LC^LO)` (edf_vd Eqs. 11–12) bit-for-bit.
+        #[test]
+        fn zero_degradation_max_matches_edf_vd_exactly() {
+            assert_prop(
+                &PropConfig::named("zero_degradation_max_matches_edf_vd_exactly"),
+                |rng| (rng.f64(), rng.f64()),
+                |&(u_hc_lo, extra)| {
+                    let u_hc_hi = (u_hc_lo + extra).min(1.0);
+                    let m = max_u_lc_lo(u_hc_lo, u_hc_hi, 0.0);
+                    let e = super::super::super::edf_vd::max_u_lc_lo(u_hc_lo, u_hc_hi);
+                    assert_eq!(m.to_bits(), e.to_bits());
+                    Ok(())
+                },
+            );
         }
     }
 }

@@ -629,57 +629,74 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
         use rand::SeedableRng;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            /// The combined policy's admission implies Liu's (it only adds
-            /// the containment condition), and the flexible policy at floor
-            /// `f` admits whenever fixed Liu at `f` does.
-            #[test]
-            fn admission_orderings_hold(seed in 0u64..2_000) {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let cfg = mc_task::generate::GeneratorConfig::default();
-                let u = 0.4 + (seed % 6) as f64 * 0.1;
-                let ts = mc_task::generate::generate_mixed_taskset(u, &cfg, &mut rng).unwrap();
-                let liu_ok = PolicySpec::LiuDegrade { fraction: 0.5 }
-                    .admit(&ts).unwrap().schedulable;
-                let combined_ok = PolicySpec::CombinedModeSwitch { fraction: 0.5 }
-                    .admit(&ts).unwrap().schedulable;
-                let flex = PolicySpec::FlexibleUtilization { min_fraction: 0.5 }
-                    .admit(&ts).unwrap();
-                prop_assert!(!combined_ok || liu_ok);
-                prop_assert_eq!(flex.schedulable, liu_ok);
-                if flex.schedulable {
-                    prop_assert!(flex.service_level >= 0.5 - 1e-9);
-                    prop_assert!(flex.service_level <= 1.0);
-                }
-            }
-
-            /// Every admitted verdict carries a usable service level and
-            /// the demand-based test is sound against LO utilisation.
-            #[test]
-            fn verdicts_are_well_formed(seed in 0u64..1_000) {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let cfg = mc_task::generate::GeneratorConfig::default();
-                let u = 0.4 + (seed % 6) as f64 * 0.1;
-                let ts = mc_task::generate::generate_mixed_taskset(u, &cfg, &mut rng).unwrap();
-                for p in PolicySpec::arena_roster() {
-                    let v = p.admit(&ts).unwrap();
-                    prop_assert!((0.0..=1.0).contains(&v.service_level), "{}", p.name());
-                    if let Some(x) = v.x {
-                        prop_assert!((0.0..=1.0).contains(&x), "{}", p.name());
+        /// The combined policy's admission implies Liu's (it only adds
+        /// the containment condition), and the flexible policy at floor
+        /// `f` admits whenever fixed Liu at `f` does.
+        #[test]
+        fn admission_orderings_hold() {
+            assert_prop(
+                &PropConfig::named("admission_orderings_hold").cases(32),
+                |rng| rng.below(2_000),
+                |&seed| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let cfg = mc_task::generate::GeneratorConfig::default();
+                    let u = 0.4 + (seed % 6) as f64 * 0.1;
+                    let ts = mc_task::generate::generate_mixed_taskset(u, &cfg, &mut rng).unwrap();
+                    let liu_ok = PolicySpec::LiuDegrade { fraction: 0.5 }
+                        .admit(&ts)
+                        .unwrap()
+                        .schedulable;
+                    let combined_ok = PolicySpec::CombinedModeSwitch { fraction: 0.5 }
+                        .admit(&ts)
+                        .unwrap()
+                        .schedulable;
+                    let flex = PolicySpec::FlexibleUtilization { min_fraction: 0.5 }
+                        .admit(&ts)
+                        .unwrap();
+                    assert!(!combined_ok || liu_ok);
+                    assert_eq!(flex.schedulable, liu_ok);
+                    if flex.schedulable {
+                        assert!(flex.service_level >= 0.5 - 1e-9);
+                        assert!(flex.service_level <= 1.0);
                     }
-                }
-                let demand_ok = PolicySpec::DemandBased { max_points: 0 }
-                    .admit(&ts).unwrap().schedulable;
-                let u_lo: f64 = ts.iter().map(|t| t.u_lo()).sum();
-                if demand_ok {
-                    prop_assert!(u_lo <= 1.0 + 1e-6);
-                }
-            }
+                    Ok(())
+                },
+            );
+        }
+
+        /// Every admitted verdict carries a usable service level and
+        /// the demand-based test is sound against LO utilisation.
+        #[test]
+        fn verdicts_are_well_formed() {
+            assert_prop(
+                &PropConfig::named("verdicts_are_well_formed").cases(32),
+                |rng| rng.below(1_000),
+                |&seed| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let cfg = mc_task::generate::GeneratorConfig::default();
+                    let u = 0.4 + (seed % 6) as f64 * 0.1;
+                    let ts = mc_task::generate::generate_mixed_taskset(u, &cfg, &mut rng).unwrap();
+                    for p in PolicySpec::arena_roster() {
+                        let v = p.admit(&ts).unwrap();
+                        assert!((0.0..=1.0).contains(&v.service_level), "{}", p.name());
+                        if let Some(x) = v.x {
+                            assert!((0.0..=1.0).contains(&x), "{}", p.name());
+                        }
+                    }
+                    let demand_ok = PolicySpec::DemandBased { max_points: 0 }
+                        .admit(&ts)
+                        .unwrap()
+                        .schedulable;
+                    let u_lo: f64 = ts.iter().map(|t| t.u_lo()).sum();
+                    if demand_ok {
+                        assert!(u_lo <= 1.0 + 1e-6);
+                    }
+                    Ok(())
+                },
+            );
         }
     }
 }

@@ -777,58 +777,70 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
         use rand::SeedableRng;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn random_schedulable_sets_never_miss_hc() {
+            assert_prop(
+                &PropConfig::named("random_schedulable_sets_never_miss_hc").cases(24),
+                |rng| rng.below(5_000),
+                |&seed| {
+                    // Generate a set, verify Eq. 8 holds with C_LO = C_HI·frac,
+                    // then hammer it with constant overruns.
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let gen_cfg = mc_task::generate::GeneratorConfig::default();
+                    let mut ts =
+                        mc_task::generate::generate_mixed_taskset(0.6, &gen_cfg, &mut rng).unwrap();
+                    // Assign optimistic WCETs at 40 % of pessimistic.
+                    for t in ts.hc_tasks_mut() {
+                        let c = t.c_hi().mul_f64(0.4).max(Duration::from_nanos(1));
+                        t.set_c_lo(c).unwrap();
+                    }
+                    if !crate::analysis::edf_vd::analyze(&ts).schedulable {
+                        return Ok(());
+                    }
+                    let c = SimConfig {
+                        horizon: Duration::from_secs(20),
+                        lc_policy: LcPolicy::DropAll,
+                        exec_model: JobExecModel::FullHiBudget,
+                        x_factor: None,
+                        release_jitter: Duration::ZERO,
+                        mode_switch: ModeSwitchPolicy::System,
+                        seed,
+                    };
+                    let m = simulate(&ts, &c).unwrap();
+                    assert_eq!(m.hc_deadline_misses, 0);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn random_schedulable_sets_never_miss_hc(seed in 0u64..5_000) {
-                // Generate a set, verify Eq. 8 holds with C_LO = C_HI·frac,
-                // then hammer it with constant overruns.
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let gen_cfg = mc_task::generate::GeneratorConfig::default();
-                let mut ts = mc_task::generate::generate_mixed_taskset(0.6, &gen_cfg, &mut rng)
-                    .unwrap();
-                // Assign optimistic WCETs at 40 % of pessimistic.
-                for t in ts.hc_tasks_mut() {
-                    let c = t.c_hi().mul_f64(0.4).max(Duration::from_nanos(1));
-                    t.set_c_lo(c).unwrap();
-                }
-                prop_assume!(crate::analysis::edf_vd::analyze(&ts).schedulable);
-                let c = SimConfig {
-                    horizon: Duration::from_secs(20),
-                    lc_policy: LcPolicy::DropAll,
-                    exec_model: JobExecModel::FullHiBudget,
-                    x_factor: None,
-                    release_jitter: Duration::ZERO,
-                    mode_switch: ModeSwitchPolicy::System,
-                    seed,
-                };
-                let m = simulate(&ts, &c).unwrap();
-                prop_assert_eq!(m.hc_deadline_misses, 0);
-            }
-
-            #[test]
-            fn busy_time_bounded_by_horizon(seed in 0u64..2_000) {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let gen_cfg = mc_task::generate::GeneratorConfig::default();
-                let ts = mc_task::generate::generate_mixed_taskset(0.7, &gen_cfg, &mut rng)
-                    .unwrap();
-                let c = SimConfig {
-                    horizon: Duration::from_secs(5),
-                    lc_policy: LcPolicy::Degrade(0.5),
-                    exec_model: JobExecModel::Profile,
-                    x_factor: None,
-                    release_jitter: Duration::ZERO,
-                    mode_switch: ModeSwitchPolicy::System,
-                    seed,
-                };
-                let m = simulate(&ts, &c).unwrap();
-                prop_assert!(m.busy_time <= m.horizon);
-                prop_assert!(m.time_in_hi <= m.horizon);
-            }
+        #[test]
+        fn busy_time_bounded_by_horizon() {
+            assert_prop(
+                &PropConfig::named("busy_time_bounded_by_horizon").cases(24),
+                |rng| rng.below(2_000),
+                |&seed| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let gen_cfg = mc_task::generate::GeneratorConfig::default();
+                    let ts =
+                        mc_task::generate::generate_mixed_taskset(0.7, &gen_cfg, &mut rng).unwrap();
+                    let c = SimConfig {
+                        horizon: Duration::from_secs(5),
+                        lc_policy: LcPolicy::Degrade(0.5),
+                        exec_model: JobExecModel::Profile,
+                        x_factor: None,
+                        release_jitter: Duration::ZERO,
+                        mode_switch: ModeSwitchPolicy::System,
+                        seed,
+                    };
+                    let m = simulate(&ts, &c).unwrap();
+                    assert!(m.busy_time <= m.horizon);
+                    assert!(m.time_in_hi <= m.horizon);
+                    Ok(())
+                },
+            );
         }
     }
 }

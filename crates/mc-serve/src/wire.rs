@@ -140,9 +140,19 @@ pub fn read_frame(r: &mut dyn Read) -> Result<Option<Message>, ServeError> {
             }
         }
     }
-    let mut payload = vec![0u8; len + 1]; // + the closing newline
-    r.read_exact(&mut payload)
+    // The buffer grows as bytes arrive: a bare prefix claiming `MAX_FRAME`
+    // must not cost that much memory before its payload exists.
+    let mut payload = Vec::new();
+    r.take(len as u64 + 1) // + the closing newline
+        .read_to_end(&mut payload)
         .map_err(|e| ServeError::Protocol(format!("short frame payload: {e}")))?;
+    if payload.len() <= len {
+        return Err(ServeError::Protocol(format!(
+            "short frame payload: {} of {} bytes",
+            payload.len(),
+            len + 1
+        )));
+    }
     if payload.pop() != Some(b'\n') {
         return Err(ServeError::Protocol(
             "frame missing its closing newline".into(),
@@ -311,6 +321,44 @@ mod tests {
         bad[last] = b'x';
         assert!(matches!(
             read_frame(&mut &bad[..]),
+            Err(ServeError::Protocol(_))
+        ));
+    }
+
+    /// A reader over fixed bytes that records the largest buffer a
+    /// caller offers it.
+    struct Probe<'a> {
+        bytes: &'a [u8],
+        largest_buf: usize,
+    }
+
+    impl Read for Probe<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_buf = self.largest_buf.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_bare_length_prefix_does_not_allocate_its_claim() {
+        let mut r = Probe {
+            bytes: b"16777216\nabc",
+            largest_buf: 0,
+        };
+        assert!(matches!(read_frame(&mut r), Err(ServeError::Protocol(_))));
+        assert!(
+            r.largest_buf < 1024,
+            "offered a {}-byte buffer for 3 bytes of payload",
+            r.largest_buf
+        );
+    }
+
+    #[test]
+    fn a_deeply_nested_frame_is_a_protocol_error() {
+        let payload = "[".repeat(20_000);
+        let frame = format!("{}\n{payload}\n", payload.len());
+        assert!(matches!(
+            read_frame(&mut frame.as_bytes()),
             Err(ServeError::Protocol(_))
         ));
     }

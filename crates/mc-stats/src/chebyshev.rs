@@ -279,54 +279,84 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use crate::prop_domain::{samples, units};
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn bound_is_in_unit_interval(n in 0.0..1.0e6f64) {
-                let b = one_sided_bound(n);
-                prop_assert!((0.0..=1.0).contains(&b));
-            }
+        #[test]
+        fn bound_is_in_unit_interval() {
+            assert_prop(
+                &PropConfig::named("bound_is_in_unit_interval"),
+                |rng| rng.f64(),
+                |&u| {
+                    let b = one_sided_bound(1.0e6 * u);
+                    assert!((0.0..=1.0).contains(&b));
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn inverse_is_left_inverse(n in 0.0..1.0e3f64) {
-                let p = one_sided_bound(n);
-                let back = n_for_probability(p).unwrap();
-                prop_assert!((back - n).abs() < 1e-6 * (1.0 + n));
-            }
+        #[test]
+        fn inverse_is_left_inverse() {
+            assert_prop(
+                &PropConfig::named("inverse_is_left_inverse"),
+                |rng| rng.f64(),
+                |&u| {
+                    let n = 1.0e3 * u;
+                    let p = one_sided_bound(n);
+                    let back = n_for_probability(p).unwrap();
+                    assert!((back - n).abs() < 1e-6 * (1.0 + n));
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn system_probability_is_monotone_in_each_task(
-                ps in proptest::collection::vec(0.0..1.0f64, 1..10),
-                idx in 0usize..10,
-                bump in 0.0..0.5f64,
-            ) {
-                let idx = idx % ps.len();
-                let base = system_mode_switch_probability(ps.iter().copied()).unwrap();
-                let mut bumped = ps.clone();
-                bumped[idx] = (bumped[idx] + bump).min(1.0);
-                let after = system_mode_switch_probability(bumped).unwrap();
-                prop_assert!(after >= base - 1e-12);
-            }
+        #[test]
+        fn system_probability_is_monotone_in_each_task() {
+            assert_prop(
+                &PropConfig::named("system_probability_is_monotone_in_each_task"),
+                |rng| (units(rng, 1..10), rng.below(10), rng.f64()),
+                |(raw, idx, u_bump)| {
+                    let ps = samples(raw, 1, 0.0, 1.0);
+                    let idx = *idx as usize % ps.len();
+                    let base = system_mode_switch_probability(ps.iter().copied()).unwrap();
+                    let mut bumped = ps.clone();
+                    bumped[idx] = (bumped[idx] + 0.5 * u_bump).min(1.0);
+                    let after = system_mode_switch_probability(bumped).unwrap();
+                    assert!(after >= base - 1e-12);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn system_probability_at_least_max_task(
-                ps in proptest::collection::vec(0.0..1.0f64, 1..10),
-            ) {
-                let sys = system_mode_switch_probability(ps.iter().copied()).unwrap();
-                let max = ps.iter().cloned().fold(0.0f64, f64::max);
-                prop_assert!(sys >= max - 1e-12);
-            }
+        #[test]
+        fn system_probability_at_least_max_task() {
+            assert_prop(
+                &PropConfig::named("system_probability_at_least_max_task"),
+                |rng| units(rng, 1..10),
+                |raw| {
+                    let ps = samples(raw, 1, 0.0, 1.0);
+                    let sys = system_mode_switch_probability(ps.iter().copied()).unwrap();
+                    let max = ps.iter().cloned().fold(0.0f64, f64::max);
+                    assert!(sys >= max - 1e-12);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn system_probability_at_most_sum(
-                ps in proptest::collection::vec(0.0..1.0f64, 1..10),
-            ) {
-                // Union bound: 1 − Π(1 − p_i) ≤ Σ p_i.
-                let sys = system_mode_switch_probability(ps.iter().copied()).unwrap();
-                let sum: f64 = ps.iter().sum();
-                prop_assert!(sys <= sum + 1e-12);
-            }
+        #[test]
+        fn system_probability_at_most_sum() {
+            assert_prop(
+                &PropConfig::named("system_probability_at_most_sum"),
+                |rng| units(rng, 1..10),
+                |raw| {
+                    let ps = samples(raw, 1, 0.0, 1.0);
+                    // Union bound: 1 − Π(1 − p_i) ≤ Σ p_i.
+                    let sys = system_mode_switch_probability(ps.iter().copied()).unwrap();
+                    let sum: f64 = ps.iter().sum();
+                    assert!(sys <= sum + 1e-12);
+                    Ok(())
+                },
+            );
         }
     }
 }

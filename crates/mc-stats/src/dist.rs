@@ -1169,58 +1169,113 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use crate::prop_domain::within;
+        use mc_fault::{assert_prop, FaultRng, PropConfig};
 
-        fn arb_dist() -> impl Strategy<Value = Dist> {
-            prop_oneof![
-                (-100.0..100.0f64, 0.1..50.0f64).prop_map(|(m, s)| Dist::normal(m, s).unwrap()),
-                (-100.0..100.0f64, 0.1..50.0f64)
-                    .prop_map(|(m, s)| Dist::gumbel_from_moments(m, s).unwrap()),
-                (0.1..100.0f64, 0.1..10.0f64)
-                    .prop_map(|(m, s)| Dist::log_normal_from_moments(m, s).unwrap()),
-                (0.01..10.0f64).prop_map(|r| Dist::exponential(r).unwrap()),
-                (0.5..5.0f64, 0.1..50.0f64).prop_map(|(k, l)| Dist::weibull(k, l).unwrap()),
-                (0.0..100.0f64, 0.5..5.0f64, 0.1..50.0f64)
-                    .prop_map(|(loc, k, l)| Dist::weibull3(loc, k, l).unwrap()),
-                (-100.0..0.0f64, 1.0..100.0f64)
-                    .prop_map(|(lo, w)| Dist::uniform(lo, lo + w).unwrap()),
-            ]
+        /// A family index and three unit draws: the raw form of a [`Dist`].
+        type RawDist = (u64, f64, f64, f64);
+
+        fn arb_dist(rng: &mut FaultRng) -> RawDist {
+            (rng.below(7), rng.f64(), rng.f64(), rng.f64())
         }
 
-        proptest! {
-            #[test]
-            fn survival_is_monotone_nonincreasing(d in arb_dist(), a in -200.0..200.0f64, b in 0.0..200.0f64) {
-                prop_assert!(d.survival(a + b) <= d.survival(a) + 1e-12);
-            }
-
-            #[test]
-            fn survival_is_in_unit_interval(d in arb_dist(), x in -500.0..500.0f64) {
-                let s = d.survival(x);
-                prop_assert!((0.0..=1.0).contains(&s), "survival {} out of range", s);
-            }
-
-            #[test]
-            fn samples_are_finite(d in arb_dist(), seed in 0u64..1_000) {
-                let mut r = StdRng::seed_from_u64(seed);
-                for _ in 0..32 {
-                    prop_assert!(d.sample(&mut r).is_finite());
+        /// One of seven families, its parameters mapped from the draws.
+        fn dist(&(family, a, b, c): &RawDist) -> Dist {
+            match family {
+                0 => Dist::normal(within(-100.0, 100.0, a), within(0.1, 50.0, b)).unwrap(),
+                1 => Dist::gumbel_from_moments(within(-100.0, 100.0, a), within(0.1, 50.0, b))
+                    .unwrap(),
+                2 => Dist::log_normal_from_moments(within(0.1, 100.0, a), within(0.1, 10.0, b))
+                    .unwrap(),
+                3 => Dist::exponential(within(0.01, 10.0, a)).unwrap(),
+                4 => Dist::weibull(within(0.5, 5.0, a), within(0.1, 50.0, b)).unwrap(),
+                5 => Dist::weibull3(
+                    within(0.0, 100.0, a),
+                    within(0.5, 5.0, b),
+                    within(0.1, 50.0, c),
+                )
+                .unwrap(),
+                _ => {
+                    let lo = within(-100.0, 0.0, a);
+                    Dist::uniform(lo, lo + within(1.0, 100.0, b)).unwrap()
                 }
             }
+        }
 
-            #[test]
-            fn chebyshev_bound_holds_for_survival(d in arb_dist(), n in 0.5..10.0f64) {
-                // The analytic survival at µ + nσ must respect Cantelli.
-                if let (Some(m), Some(sd)) = (d.mean(), d.std_dev()) {
-                    let s = d.survival(m + n * sd);
-                    let bound = crate::chebyshev::one_sided_bound(n);
-                    prop_assert!(s <= bound + 1e-9, "survival {} exceeds bound {}", s, bound);
-                }
-            }
+        #[test]
+        fn survival_is_monotone_nonincreasing() {
+            assert_prop(
+                &PropConfig::named("survival_is_monotone_nonincreasing"),
+                |rng| (arb_dist(rng), rng.f64(), rng.f64()),
+                |(raw, u_a, u_b)| {
+                    let d = dist(raw);
+                    let (a, b) = (within(-200.0, 200.0, *u_a), 200.0 * u_b);
+                    assert!(d.survival(a + b) <= d.survival(a) + 1e-12);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn cdf_plus_survival_is_one(d in arb_dist(), x in -500.0..500.0f64) {
-                prop_assert!((d.cdf(x) + d.survival(x) - 1.0).abs() < 1e-12);
-            }
+        #[test]
+        fn survival_is_in_unit_interval() {
+            assert_prop(
+                &PropConfig::named("survival_is_in_unit_interval"),
+                |rng| (arb_dist(rng), rng.f64()),
+                |(raw, u_x)| {
+                    let s = dist(raw).survival(within(-500.0, 500.0, *u_x));
+                    assert!((0.0..=1.0).contains(&s), "survival {} out of range", s);
+                    Ok(())
+                },
+            );
+        }
+
+        #[test]
+        fn samples_are_finite() {
+            assert_prop(
+                &PropConfig::named("samples_are_finite"),
+                |rng| (arb_dist(rng), rng.below(1_000)),
+                |(raw, seed)| {
+                    let d = dist(raw);
+                    let mut r = StdRng::seed_from_u64(*seed);
+                    for _ in 0..32 {
+                        assert!(d.sample(&mut r).is_finite());
+                    }
+                    Ok(())
+                },
+            );
+        }
+
+        #[test]
+        fn chebyshev_bound_holds_for_survival() {
+            assert_prop(
+                &PropConfig::named("chebyshev_bound_holds_for_survival"),
+                |rng| (arb_dist(rng), rng.f64()),
+                |(raw, u_n)| {
+                    let d = dist(raw);
+                    let n = within(0.5, 10.0, *u_n);
+                    // The analytic survival at µ + nσ must respect Cantelli.
+                    if let (Some(m), Some(sd)) = (d.mean(), d.std_dev()) {
+                        let s = d.survival(m + n * sd);
+                        let bound = crate::chebyshev::one_sided_bound(n);
+                        assert!(s <= bound + 1e-9, "survival {} exceeds bound {}", s, bound);
+                    }
+                    Ok(())
+                },
+            );
+        }
+
+        #[test]
+        fn cdf_plus_survival_is_one() {
+            assert_prop(
+                &PropConfig::named("cdf_plus_survival_is_one"),
+                |rng| (arb_dist(rng), rng.f64()),
+                |(raw, u_x)| {
+                    let d = dist(raw);
+                    let x = within(-500.0, 500.0, *u_x);
+                    assert!((d.cdf(x) + d.survival(x) - 1.0).abs() < 1e-12);
+                    Ok(())
+                },
+            );
         }
     }
 }

@@ -316,42 +316,59 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use crate::prop_domain::{samples, units, within};
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn rate_is_in_unit_interval(
-                samples in proptest::collection::vec(-100.0..100.0f64, 0..200),
-                level in -150.0..150.0f64,
-            ) {
-                let est = exceedance_rate(&samples, level).unwrap();
-                prop_assert!((0.0..=1.0).contains(&est.rate()));
-            }
+        #[test]
+        fn rate_is_in_unit_interval() {
+            assert_prop(
+                &PropConfig::named("rate_is_in_unit_interval"),
+                |rng| (units(rng, 0..200), rng.f64()),
+                |(raw, u_level)| {
+                    let samples = samples(raw, 0, -100.0, 100.0);
+                    let level = within(-150.0, 150.0, *u_level);
+                    let est = exceedance_rate(&samples, level).unwrap();
+                    assert!((0.0..=1.0).contains(&est.rate()));
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn exceeding_plus_not_exceeding_is_total(
-                samples in proptest::collection::vec(-100.0..100.0f64, 0..200),
-                level in -150.0..150.0f64,
-            ) {
-                let above = exceedance_rate(&samples, level).unwrap();
-                let at_most = samples.iter().filter(|&&s| s <= level).count() as u64;
-                prop_assert_eq!(above.exceeding + at_most, samples.len() as u64);
-            }
+        #[test]
+        fn exceeding_plus_not_exceeding_is_total() {
+            assert_prop(
+                &PropConfig::named("exceeding_plus_not_exceeding_is_total"),
+                |rng| (units(rng, 0..200), rng.f64()),
+                |(raw, u_level)| {
+                    let samples = samples(raw, 0, -100.0, 100.0);
+                    let level = within(-150.0, 150.0, *u_level);
+                    let above = exceedance_rate(&samples, level).unwrap();
+                    let at_most = samples.iter().filter(|&&s| s <= level).count() as u64;
+                    assert_eq!(above.exceeding + at_most, samples.len() as u64);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn wilson_interval_is_ordered(
-                exceeding in 0u64..1000,
-                extra in 0u64..1000,
-                z in 0.5..4.0f64,
-            ) {
-                let est = ExceedanceEstimate { exceeding, total: exceeding + extra + 1 };
-                let (lo, hi) = est.wilson_interval(z).unwrap();
-                prop_assert!(lo <= hi);
-                prop_assert!((0.0..=1.0).contains(&lo));
-                prop_assert!((0.0..=1.0).contains(&hi));
-                prop_assert!(lo <= est.rate() + 1e-12);
-                prop_assert!(est.rate() <= hi + 1e-12);
-            }
+        #[test]
+        fn wilson_interval_is_ordered() {
+            assert_prop(
+                &PropConfig::named("wilson_interval_is_ordered"),
+                |rng| (rng.below(1000), rng.below(1000), rng.f64()),
+                |&(exceeding, extra, u_z)| {
+                    let est = ExceedanceEstimate {
+                        exceeding,
+                        total: exceeding + extra + 1,
+                    };
+                    let (lo, hi) = est.wilson_interval(within(0.5, 4.0, u_z)).unwrap();
+                    assert!(lo <= hi);
+                    assert!((0.0..=1.0).contains(&lo));
+                    assert!((0.0..=1.0).contains(&hi));
+                    assert!(lo <= est.rate() + 1e-12);
+                    assert!(est.rate() <= hi + 1e-12);
+                    Ok(())
+                },
+            );
         }
     }
 }

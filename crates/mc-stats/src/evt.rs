@@ -256,27 +256,29 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use crate::prop_domain::within;
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            #[test]
-            fn exceedance_functions_are_proper(
-                loc in -100.0..100.0f64,
-                scale in 0.5..20.0f64,
-                seed in 0u64..100,
-                x in -200.0..400.0f64,
-            ) {
-                let samples = gumbel_samples(loc, scale, 2_000, seed);
-                let fit = GumbelFit::from_block_maxima(&samples, 20).unwrap();
-                let b = fit.block_exceedance(x);
-                let s = fit.sample_exceedance(x);
-                prop_assert!((0.0..=1.0).contains(&b));
-                prop_assert!((0.0..=1.0).contains(&s));
-                // A single sample exceeds x no more often than the block max.
-                prop_assert!(s <= b + 1e-12);
-            }
+        #[test]
+        fn exceedance_functions_are_proper() {
+            assert_prop(
+                &PropConfig::named("exceedance_functions_are_proper").cases(24),
+                |rng| (rng.f64(), rng.f64(), rng.below(100), rng.f64()),
+                |&(u_loc, u_scale, seed, u_x)| {
+                    let loc = within(-100.0, 100.0, u_loc);
+                    let scale = within(0.5, 20.0, u_scale);
+                    let x = within(-200.0, 400.0, u_x);
+                    let samples = gumbel_samples(loc, scale, 2_000, seed);
+                    let fit = GumbelFit::from_block_maxima(&samples, 20).unwrap();
+                    let b = fit.block_exceedance(x);
+                    let s = fit.sample_exceedance(x);
+                    assert!((0.0..=1.0).contains(&b));
+                    assert!((0.0..=1.0).contains(&s));
+                    // A single sample exceeds x no more often than the block max.
+                    assert!(s <= b + 1e-12);
+                    Ok(())
+                },
+            );
         }
     }
 }

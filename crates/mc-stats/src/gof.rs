@@ -152,6 +152,10 @@ mod tests {
         assert!((kolmogorov_survival(1.224) - 0.10).abs() < 0.003);
         assert_eq!(kolmogorov_survival(0.0), 1.0);
         assert!(kolmogorov_survival(5.0) < 1e-9);
+        // A monotonicity counterexample upstream proptest once recorded
+        // for `survival_is_monotone` (l1 = 0.000488…, dl = 0.296…).
+        let (l1, dl) = (0.0004885731926071333, 0.29634213424488126);
+        assert!(kolmogorov_survival(l1 + dl) <= kolmogorov_survival(l1) + 1e-12);
     }
 
     #[test]
@@ -231,24 +235,35 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use crate::prop_domain::{samples, units};
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn statistic_is_in_unit_interval(
-                samples in proptest::collection::vec(-100.0..100.0f64, 1..200),
-            ) {
-                let d = Dist::normal(0.0, 10.0).unwrap();
-                let s = ks_statistic(&samples, |x| d.cdf(x)).unwrap();
-                prop_assert!((0.0..=1.0).contains(&s));
-            }
+        #[test]
+        fn statistic_is_in_unit_interval() {
+            assert_prop(
+                &PropConfig::named("statistic_is_in_unit_interval"),
+                |rng| units(rng, 1..200),
+                |raw| {
+                    let samples = samples(raw, 1, -100.0, 100.0);
+                    let d = Dist::normal(0.0, 10.0).unwrap();
+                    let s = ks_statistic(&samples, |x| d.cdf(x)).unwrap();
+                    assert!((0.0..=1.0).contains(&s));
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn survival_is_monotone(l1 in 0.0..3.0f64, dl in 0.0..3.0f64) {
-                prop_assert!(
-                    kolmogorov_survival(l1 + dl) <= kolmogorov_survival(l1) + 1e-12
-                );
-            }
+        #[test]
+        fn survival_is_monotone() {
+            assert_prop(
+                &PropConfig::named("survival_is_monotone"),
+                |rng| (rng.f64(), rng.f64()),
+                |&(u_l1, u_dl)| {
+                    let (l1, dl) = (3.0 * u_l1, 3.0 * u_dl);
+                    assert!(kolmogorov_survival(l1 + dl) <= kolmogorov_survival(l1) + 1e-12);
+                    Ok(())
+                },
+            );
         }
     }
 }

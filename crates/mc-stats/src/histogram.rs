@@ -402,52 +402,70 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use crate::prop_domain::{samples, units, within};
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn histogram_conserves_mass(
-                samples in proptest::collection::vec(-100.0..100.0f64, 1..300),
-                bins in 1usize..32,
-            ) {
-                let mut h = Histogram::new(-50.0, 50.0, bins).unwrap();
-                for &s in &samples {
-                    h.record(s).unwrap();
-                }
-                let sum: u64 = h.counts().iter().sum();
-                prop_assert_eq!(sum + h.underflow() + h.overflow(), samples.len() as u64);
-            }
+        #[test]
+        fn histogram_conserves_mass() {
+            assert_prop(
+                &PropConfig::named("histogram_conserves_mass"),
+                |rng| (units(rng, 1..300), rng.below(31) as usize),
+                |(raw, extra_bins)| {
+                    let samples = samples(raw, 1, -100.0, 100.0);
+                    let mut h = Histogram::new(-50.0, 50.0, 1 + extra_bins).unwrap();
+                    for &s in &samples {
+                        h.record(s).unwrap();
+                    }
+                    let sum: u64 = h.counts().iter().sum();
+                    assert_eq!(sum + h.underflow() + h.overflow(), samples.len() as u64);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn ecdf_is_monotone(
-                samples in proptest::collection::vec(-100.0..100.0f64, 1..200),
-                a in -150.0..150.0f64,
-                b in 0.0..100.0f64,
-            ) {
-                let e = Ecdf::from_samples(&samples).unwrap();
-                prop_assert!(e.fraction_at_most(a + b) >= e.fraction_at_most(a));
-            }
+        #[test]
+        fn ecdf_is_monotone() {
+            assert_prop(
+                &PropConfig::named("ecdf_is_monotone"),
+                |rng| (units(rng, 1..200), rng.f64(), rng.f64()),
+                |(raw, u_a, u_b)| {
+                    let samples = samples(raw, 1, -100.0, 100.0);
+                    let (a, b) = (within(-150.0, 150.0, *u_a), 100.0 * u_b);
+                    let e = Ecdf::from_samples(&samples).unwrap();
+                    assert!(e.fraction_at_most(a + b) >= e.fraction_at_most(a));
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn quantile_is_an_observed_sample(
-                samples in proptest::collection::vec(-100.0..100.0f64, 1..200),
-                q in 0.0..=1.0f64,
-            ) {
-                let e = Ecdf::from_samples(&samples).unwrap();
-                let v = e.quantile(q).unwrap();
-                prop_assert!(samples.contains(&v));
-            }
+        #[test]
+        fn quantile_is_an_observed_sample() {
+            assert_prop(
+                &PropConfig::named("quantile_is_an_observed_sample"),
+                |rng| (units(rng, 1..200), rng.f64()),
+                |(raw, q)| {
+                    let samples = samples(raw, 1, -100.0, 100.0);
+                    let e = Ecdf::from_samples(&samples).unwrap();
+                    let v = e.quantile(*q).unwrap();
+                    assert!(samples.contains(&v));
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn quantiles_are_monotone(
-                samples in proptest::collection::vec(-100.0..100.0f64, 1..200),
-                q1 in 0.0..=1.0f64,
-                dq in 0.0..=1.0f64,
-            ) {
-                let q2 = (q1 + dq).min(1.0);
-                let e = Ecdf::from_samples(&samples).unwrap();
-                prop_assert!(e.quantile(q2).unwrap() >= e.quantile(q1).unwrap());
-            }
+        #[test]
+        fn quantiles_are_monotone() {
+            assert_prop(
+                &PropConfig::named("quantiles_are_monotone"),
+                |rng| (units(rng, 1..200), rng.f64(), rng.f64()),
+                |(raw, q1, dq)| {
+                    let samples = samples(raw, 1, -100.0, 100.0);
+                    let q2 = (q1 + dq).min(1.0);
+                    let e = Ecdf::from_samples(&samples).unwrap();
+                    assert!(e.quantile(q2).unwrap() >= e.quantile(*q1).unwrap());
+                    Ok(())
+                },
+            );
         }
     }
 }

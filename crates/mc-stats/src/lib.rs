@@ -135,6 +135,35 @@ pub(crate) fn ensure_non_negative(what: &'static str, value: f64) -> Result<f64>
 }
 
 #[cfg(test)]
+mod prop_domain {
+    //! Raw draws for the property tests and their maps onto each
+    //! property's domain. Shrinking acts on the raw draws, so every shrink
+    //! candidate still maps to a valid input.
+
+    use mc_fault::FaultRng;
+    use std::ops::Range;
+
+    /// The unit draw `u` mapped onto `[lo, hi)`.
+    pub(crate) fn within(lo: f64, hi: f64, u: f64) -> f64 {
+        lo + (hi - lo) * u
+    }
+
+    /// Unit-interval draws, as many as a uniform pick from `lens`.
+    pub(crate) fn units(rng: &mut FaultRng, lens: Range<usize>) -> Vec<f64> {
+        let n = rng.range_u64(lens.start as u64, lens.end as u64 - 1);
+        (0..n).map(|_| rng.f64()).collect()
+    }
+
+    /// The draws mapped onto `[lo, hi)`. Missing draws read as 0 up to
+    /// `min_len` values, so a shrunk vector is still a long enough sample.
+    pub(crate) fn samples(raw: &[f64], min_len: usize, lo: f64, hi: f64) -> Vec<f64> {
+        (0..raw.len().max(min_len))
+            .map(|i| within(lo, hi, raw.get(i).copied().unwrap_or(0.0)))
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

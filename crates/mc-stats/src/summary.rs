@@ -432,84 +432,129 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use crate::prop_domain::{samples, units, within};
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn mean_is_within_min_max(samples in proptest::collection::vec(-1.0e6..1.0e6f64, 1..200)) {
-                let s = Summary::from_samples(&samples).unwrap();
-                prop_assert!(s.mean() >= s.min() - 1e-9);
-                prop_assert!(s.mean() <= s.max() + 1e-9);
-            }
+        #[test]
+        fn mean_is_within_min_max() {
+            assert_prop(
+                &PropConfig::named("mean_is_within_min_max"),
+                |rng| units(rng, 1..200),
+                |raw| {
+                    let samples = samples(raw, 1, -1.0e6, 1.0e6);
+                    let s = Summary::from_samples(&samples).unwrap();
+                    assert!(s.mean() >= s.min() - 1e-9);
+                    assert!(s.mean() <= s.max() + 1e-9);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn variance_is_non_negative(samples in proptest::collection::vec(-1.0e6..1.0e6f64, 1..200)) {
-                let s = Summary::from_samples(&samples).unwrap();
-                prop_assert!(s.variance() >= -1e-9);
-            }
+        #[test]
+        fn variance_is_non_negative() {
+            assert_prop(
+                &PropConfig::named("variance_is_non_negative"),
+                |rng| units(rng, 1..200),
+                |raw| {
+                    let samples = samples(raw, 1, -1.0e6, 1.0e6);
+                    let s = Summary::from_samples(&samples).unwrap();
+                    assert!(s.variance() >= -1e-9);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn merge_is_equivalent_to_concatenation(
-                a in proptest::collection::vec(-1.0e3..1.0e3f64, 1..50),
-                b in proptest::collection::vec(-1.0e3..1.0e3f64, 1..50),
-            ) {
-                let mut acc_a = OnlineSummary::new();
-                acc_a.extend(a.iter().copied());
-                let mut acc_b = OnlineSummary::new();
-                acc_b.extend(b.iter().copied());
-                acc_a.merge(&acc_b);
-                let merged = acc_a.finish().unwrap();
+        #[test]
+        fn merge_is_equivalent_to_concatenation() {
+            assert_prop(
+                &PropConfig::named("merge_is_equivalent_to_concatenation"),
+                |rng| (units(rng, 1..50), units(rng, 1..50)),
+                |(raw_a, raw_b)| {
+                    let a = samples(raw_a, 1, -1.0e3, 1.0e3);
+                    let b = samples(raw_b, 1, -1.0e3, 1.0e3);
+                    let mut acc_a = OnlineSummary::new();
+                    acc_a.extend(a.iter().copied());
+                    let mut acc_b = OnlineSummary::new();
+                    acc_b.extend(b.iter().copied());
+                    acc_a.merge(&acc_b);
+                    let merged = acc_a.finish().unwrap();
 
-                let concat: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
-                let direct = Summary::from_samples(&concat).unwrap();
-                prop_assert_eq!(merged.count(), direct.count());
-                prop_assert!((merged.mean() - direct.mean()).abs() < 1e-6);
-                prop_assert!((merged.variance() - direct.variance()).abs() < 1e-4);
-            }
+                    let concat: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
+                    let direct = Summary::from_samples(&concat).unwrap();
+                    assert_eq!(merged.count(), direct.count());
+                    assert!((merged.mean() - direct.mean()).abs() < 1e-6);
+                    assert!((merged.variance() - direct.variance()).abs() < 1e-4);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn merge_over_arbitrary_chunkings_matches_from_samples(
+        #[test]
+        fn merge_over_arbitrary_chunkings_matches_from_samples() {
+            assert_prop(
+                &PropConfig::named("merge_over_arbitrary_chunkings_matches_from_samples"),
                 // Chunks of 0..=10 samples each: empty and single-sample
                 // chunks are deliberately in range, so the merge identity
                 // and adopt-other fast paths are both exercised.
-                chunks in proptest::collection::vec(
-                    proptest::collection::vec(-1.0e3..1.0e3f64, 0..11),
-                    1..12,
-                ),
-            ) {
-                let concat: Vec<f64> = chunks.iter().flatten().copied().collect();
-                prop_assume!(!concat.is_empty());
-                let mut acc = OnlineSummary::new();
-                for chunk in &chunks {
-                    let mut part = OnlineSummary::new();
-                    part.extend(chunk.iter().copied());
-                    acc.merge(&part);
-                }
-                let merged = acc.finish().unwrap();
-                let direct = Summary::from_samples(&concat).unwrap();
-                // 1e-12 relative: both sides are Welford-stable, so the
-                // chunking must not cost more than rounding noise.
-                let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0);
-                prop_assert_eq!(merged.count(), direct.count());
-                prop_assert!(close(merged.mean(), direct.mean()),
-                    "mean {} vs {}", merged.mean(), direct.mean());
-                prop_assert!(close(merged.variance(), direct.variance()),
-                    "variance {} vs {}", merged.variance(), direct.variance());
-                prop_assert_eq!(merged.min(), direct.min());
-                prop_assert_eq!(merged.max(), direct.max());
-            }
+                |rng| {
+                    let n = rng.range_u64(1, 11);
+                    (0..n).map(|_| units(rng, 0..11)).collect::<Vec<_>>()
+                },
+                |raw| {
+                    let chunks: Vec<Vec<f64>> =
+                        raw.iter().map(|c| samples(c, 0, -1.0e3, 1.0e3)).collect();
+                    let concat: Vec<f64> = chunks.iter().flatten().copied().collect();
+                    if concat.is_empty() {
+                        return Ok(());
+                    }
+                    let mut acc = OnlineSummary::new();
+                    for chunk in &chunks {
+                        let mut part = OnlineSummary::new();
+                        part.extend(chunk.iter().copied());
+                        acc.merge(&part);
+                    }
+                    let merged = acc.finish().unwrap();
+                    let direct = Summary::from_samples(&concat).unwrap();
+                    // 1e-12 relative: both sides are Welford-stable, so the
+                    // chunking must not cost more than rounding noise.
+                    let close =
+                        |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0);
+                    assert_eq!(merged.count(), direct.count());
+                    assert!(
+                        close(merged.mean(), direct.mean()),
+                        "mean {} vs {}",
+                        merged.mean(),
+                        direct.mean()
+                    );
+                    assert!(
+                        close(merged.variance(), direct.variance()),
+                        "variance {} vs {}",
+                        merged.variance(),
+                        direct.variance()
+                    );
+                    assert_eq!(merged.min(), direct.min());
+                    assert_eq!(merged.max(), direct.max());
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn shift_invariance_of_variance(
-                samples in proptest::collection::vec(-100.0..100.0f64, 2..100),
-                shift in -1.0e4..1.0e4f64,
-            ) {
-                let s1 = Summary::from_samples(&samples).unwrap();
-                let shifted: Vec<f64> = samples.iter().map(|x| x + shift).collect();
-                let s2 = Summary::from_samples(&shifted).unwrap();
-                prop_assert!((s1.variance() - s2.variance()).abs() < 1e-5);
-                prop_assert!((s2.mean() - (s1.mean() + shift)).abs() < 1e-7);
-            }
+        #[test]
+        fn shift_invariance_of_variance() {
+            assert_prop(
+                &PropConfig::named("shift_invariance_of_variance"),
+                |rng| (units(rng, 2..100), rng.f64()),
+                |(raw, u_shift)| {
+                    let samples = samples(raw, 2, -100.0, 100.0);
+                    let shift = within(-1.0e4, 1.0e4, *u_shift);
+                    let s1 = Summary::from_samples(&samples).unwrap();
+                    let shifted: Vec<f64> = samples.iter().map(|x| x + shift).collect();
+                    let s2 = Summary::from_samples(&shifted).unwrap();
+                    assert!((s1.variance() - s2.variance()).abs() < 1e-5);
+                    assert!((s2.mean() - (s1.mean() + shift)).abs() < 1e-7);
+                    Ok(())
+                },
+            );
         }
     }
 }

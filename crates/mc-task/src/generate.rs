@@ -768,43 +768,51 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            #[test]
-            fn generated_sets_respect_invariants(seed in 0u64..10_000, target in 0.05..0.95f64) {
-                let cfg = GeneratorConfig::default();
-                let mut r = StdRng::seed_from_u64(seed);
-                let ts = generate_mixed_taskset(target, &cfg, &mut r).unwrap();
-                for t in &ts {
-                    prop_assert!(t.u_hi() <= 1.0 + 1e-9);
-                    prop_assert!(t.c_lo() <= t.c_hi());
-                    if t.is_high() {
-                        let p = t.profile().unwrap();
-                        prop_assert!(p.acet() <= p.wcet_pes());
-                        prop_assert!(p.sigma() >= 0.0);
-                        // Eq. 9 is satisfiable: at n = 1 the level stays below WCET_pes.
-                        prop_assert!(p.level(1.0) <= p.wcet_pes() + 1e-6);
+        #[test]
+        fn generated_sets_respect_invariants() {
+            assert_prop(
+                &PropConfig::named("generated_sets_respect_invariants").cases(32),
+                |rng| (rng.below(10_000), rng.f64()),
+                |&(seed, u_target)| {
+                    let target = 0.05 + 0.9 * u_target;
+                    let cfg = GeneratorConfig::default();
+                    let mut r = StdRng::seed_from_u64(seed);
+                    let ts = generate_mixed_taskset(target, &cfg, &mut r).unwrap();
+                    for t in &ts {
+                        assert!(t.u_hi() <= 1.0 + 1e-9);
+                        assert!(t.c_lo() <= t.c_hi());
+                        if t.is_high() {
+                            let p = t.profile().unwrap();
+                            assert!(p.acet() <= p.wcet_pes());
+                            assert!(p.sigma() >= 0.0);
+                            // Eq. 9 is satisfiable: at n = 1 the level stays below WCET_pes.
+                            assert!(p.level(1.0) <= p.wcet_pes() + 1e-6);
+                        }
                     }
-                }
-                let bound_u = ts.u_hc_hi() + ts.u_lc_lo();
-                prop_assert!((bound_u - target).abs() < 5e-3);
-            }
+                    let bound_u = ts.u_hc_hi() + ts.u_lc_lo();
+                    assert!((bound_u - target).abs() < 5e-3);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn uunifast_is_a_probability_partition(
-                seed in 0u64..10_000,
-                n in 1usize..30,
-                total in 0.01..1.0f64,
-            ) {
-                let mut r = StdRng::seed_from_u64(seed);
-                let us = uunifast(n, total, &mut r).unwrap();
-                let sum: f64 = us.iter().sum();
-                prop_assert!((sum - total).abs() < 1e-9);
-                prop_assert!(us.iter().all(|&u| (0.0..=total + 1e-12).contains(&u)));
-            }
+        #[test]
+        fn uunifast_is_a_probability_partition() {
+            assert_prop(
+                &PropConfig::named("uunifast_is_a_probability_partition").cases(32),
+                |rng| (rng.below(10_000), rng.below(29) as usize, rng.f64()),
+                |&(seed, extra_n, u_total)| {
+                    let (n, total) = (1 + extra_n, 0.01 + 0.99 * u_total);
+                    let mut r = StdRng::seed_from_u64(seed);
+                    let us = uunifast(n, total, &mut r).unwrap();
+                    let sum: f64 = us.iter().sum();
+                    assert!((sum - total).abs() < 1e-9);
+                    assert!(us.iter().all(|&u| (0.0..=total + 1e-12).contains(&u)));
+                    Ok(())
+                },
+            );
         }
     }
 }

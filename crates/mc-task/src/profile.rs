@@ -317,32 +317,41 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn level_is_monotone_in_n(
-                acet in 1.0..1e6f64,
-                sigma in 0.0..1e5f64,
-                n1 in 0.0..100.0f64,
-                dn in 0.0..100.0f64,
-            ) {
-                let p = ExecutionProfile::new(acet, sigma, acet * 100.0 + 1e7).unwrap();
-                prop_assert!(p.level(n1 + dn) >= p.level(n1));
-            }
+        #[test]
+        fn level_is_monotone_in_n() {
+            assert_prop(
+                &PropConfig::named("level_is_monotone_in_n"),
+                |rng| (rng.f64(), rng.f64(), rng.f64(), rng.f64()),
+                |&(u_acet, u_sigma, u_n1, u_dn)| {
+                    let acet = 1.0 + (1e6 - 1.0) * u_acet;
+                    let sigma = 1e5 * u_sigma;
+                    let (n1, dn) = (100.0 * u_n1, 100.0 * u_dn);
+                    let p = ExecutionProfile::new(acet, sigma, acet * 100.0 + 1e7).unwrap();
+                    assert!(p.level(n1 + dn) >= p.level(n1));
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn clamped_level_never_exceeds_wcet_pes(
-                acet in 1.0..1e6f64,
-                sigma in 0.001..1e5f64,
-                gap in 0.0..1e6f64,
-                n in -10.0..1e4f64,
-            ) {
-                let p = ExecutionProfile::new(acet, sigma, acet + gap).unwrap();
-                let level = p.level(p.clamp_factor(n));
-                prop_assert!(level <= p.wcet_pes() + 1e-6);
-                prop_assert!(level >= p.acet() - 1e-9);
-            }
+        #[test]
+        fn clamped_level_never_exceeds_wcet_pes() {
+            assert_prop(
+                &PropConfig::named("clamped_level_never_exceeds_wcet_pes"),
+                |rng| (rng.f64(), rng.f64(), rng.f64(), rng.f64()),
+                |&(u_acet, u_sigma, u_gap, u_n)| {
+                    let acet = 1.0 + (1e6 - 1.0) * u_acet;
+                    let sigma = 0.001 + (1e5 - 0.001) * u_sigma;
+                    let gap = 1e6 * u_gap;
+                    let n = -10.0 + (1e4 + 10.0) * u_n;
+                    let p = ExecutionProfile::new(acet, sigma, acet + gap).unwrap();
+                    let level = p.level(p.clamp_factor(n));
+                    assert!(level <= p.wcet_pes() + 1e-6);
+                    assert!(level >= p.acet() - 1e-9);
+                    Ok(())
+                },
+            );
         }
     }
 }

@@ -544,29 +544,33 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn valid_hc_tasks_have_ordered_utilizations(
-                period_ms in 1u64..1_000,
-                c_lo_frac in 0.01..1.0f64,
-                c_hi_frac in 0.01..1.0f64,
-            ) {
-                let period = Duration::from_millis(period_ms);
-                let c_hi = period.mul_f64(c_hi_frac.max(c_lo_frac));
-                let c_lo = period.mul_f64(c_lo_frac.min(c_hi_frac));
-                prop_assume!(!c_lo.is_zero());
-                let t = McTask::builder(TaskId::new(0))
-                    .criticality(Criticality::Hi)
-                    .period(period)
-                    .c_lo(c_lo)
-                    .c_hi(c_hi)
-                    .build()
-                    .unwrap();
-                prop_assert!(t.u_lo() <= t.u_hi() + 1e-12);
-                prop_assert!(t.u_hi() <= 1.0 + 1e-12);
-            }
+        #[test]
+        fn valid_hc_tasks_have_ordered_utilizations() {
+            assert_prop(
+                &PropConfig::named("valid_hc_tasks_have_ordered_utilizations"),
+                |rng| (rng.below(999), rng.f64(), rng.f64()),
+                |&(p, u_lo, u_hi)| {
+                    let period = Duration::from_millis(1 + p);
+                    let (c_lo_frac, c_hi_frac) = (0.01 + 0.99 * u_lo, 0.01 + 0.99 * u_hi);
+                    let c_hi = period.mul_f64(c_hi_frac.max(c_lo_frac));
+                    let c_lo = period.mul_f64(c_lo_frac.min(c_hi_frac));
+                    if c_lo.is_zero() {
+                        return Ok(());
+                    }
+                    let t = McTask::builder(TaskId::new(0))
+                        .criticality(Criticality::Hi)
+                        .period(period)
+                        .c_lo(c_lo)
+                        .c_hi(c_hi)
+                        .build()
+                        .unwrap();
+                    assert!(t.u_lo() <= t.u_hi() + 1e-12);
+                    assert!(t.u_hi() <= 1.0 + 1e-12);
+                    Ok(())
+                },
+            );
         }
     }
 }

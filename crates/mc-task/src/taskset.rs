@@ -374,56 +374,57 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
 
-        fn arb_task(id: u32) -> impl Strategy<Value = McTask> {
-            (1u64..500, 1u64..100, 0u64..100, proptest::bool::ANY).prop_map(
-                move |(p_ms, c_lo_pct, c_extra_pct, high)| {
-                    let period = Duration::from_millis(p_ms);
-                    let c_lo = period.mul_f64((c_lo_pct as f64 / 100.0).max(0.01) * 0.5);
-                    let c_lo = if c_lo.is_zero() {
-                        Duration::from_nanos(1)
-                    } else {
-                        c_lo
-                    };
-                    let c_hi_target = c_lo + period.mul_f64(c_extra_pct as f64 / 100.0 * 0.5);
-                    let c_hi = c_hi_target.min(period);
-                    let mut b = McTask::builder(TaskId::new(id)).period(period).c_lo(c_lo);
-                    if high {
-                        b = b.criticality(Criticality::Hi).c_hi(c_hi);
-                    }
-                    b.build().unwrap()
-                },
-            )
+        /// Raw draws for one task: period, C_LO and C_HI offsets, and
+        /// criticality.
+        type RawTask = (u64, u64, u64, bool);
+
+        fn task(id: usize, (p, c_lo, c_extra, high): RawTask) -> McTask {
+            let (p_ms, c_lo_pct, c_extra_pct) = (1 + p, 1 + c_lo, c_extra);
+            let period = Duration::from_millis(p_ms);
+            let c_lo = period.mul_f64((c_lo_pct as f64 / 100.0).max(0.01) * 0.5);
+            let c_lo = if c_lo.is_zero() {
+                Duration::from_nanos(1)
+            } else {
+                c_lo
+            };
+            let c_hi_target = c_lo + period.mul_f64(c_extra_pct as f64 / 100.0 * 0.5);
+            let c_hi = c_hi_target.min(period);
+            let mut b = McTask::builder(TaskId::new(id as u32))
+                .period(period)
+                .c_lo(c_lo);
+            if high {
+                b = b.criticality(Criticality::Hi).c_hi(c_hi);
+            }
+            b.build().unwrap()
         }
 
-        proptest! {
-            #[test]
-            fn utilizations_are_sums_over_views(
-                tasks in proptest::collection::vec((0u32..1).prop_flat_map(|_| arb_task(0)), 1..20)
-            ) {
-                // Re-id to be unique.
-                let tasks: Vec<McTask> = tasks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let mut b = McTask::builder(TaskId::new(i as u32))
-                            .criticality(t.criticality())
-                            .period(t.period())
-                            .c_lo(t.c_lo());
-                        if t.is_high() {
-                            b = b.c_hi(t.c_hi());
-                        }
-                        b.build().unwrap()
-                    })
-                    .collect();
-                let ts = TaskSet::from_tasks(tasks).unwrap();
-                let manual_hc_lo: f64 = ts.hc_tasks().map(|t| t.u_lo()).sum();
-                let manual_lc_lo: f64 = ts.lc_tasks().map(|t| t.u_lo()).sum();
-                prop_assert!((ts.u_hc_lo() - manual_hc_lo).abs() < 1e-12);
-                prop_assert!((ts.u_lc_lo() - manual_lc_lo).abs() < 1e-12);
-                prop_assert!(ts.u_hc_lo() <= ts.u_hc_hi() + 1e-12);
-            }
+        #[test]
+        fn utilizations_are_sums_over_views() {
+            assert_prop(
+                &PropConfig::named("utilizations_are_sums_over_views"),
+                |rng| {
+                    let n = rng.range_u64(1, 19);
+                    (0..n)
+                        .map(|_| (rng.below(499), rng.below(99), rng.below(100), rng.bool(0.5)))
+                        .collect::<Vec<RawTask>>()
+                },
+                |raw| {
+                    // Missing draws read as zeros, so a shrunk draw still
+                    // builds at least one task.
+                    let tasks: Vec<McTask> = (0..raw.len().max(1))
+                        .map(|i| task(i, raw.get(i).copied().unwrap_or_default()))
+                        .collect();
+                    let ts = TaskSet::from_tasks(tasks).unwrap();
+                    let manual_hc_lo: f64 = ts.hc_tasks().map(|t| t.u_lo()).sum();
+                    let manual_lc_lo: f64 = ts.lc_tasks().map(|t| t.u_lo()).sum();
+                    assert!((ts.u_hc_lo() - manual_hc_lo).abs() < 1e-12);
+                    assert!((ts.u_lc_lo() - manual_lc_lo).abs() < 1e-12);
+                    assert!(ts.u_hc_lo() <= ts.u_hc_hi() + 1e-12);
+                    Ok(())
+                },
+            );
         }
     }
 }

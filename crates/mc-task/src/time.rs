@@ -458,38 +458,62 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use mc_fault::{assert_prop, PropConfig};
 
-        proptest! {
-            #[test]
-            fn add_sub_round_trip(a in 0u64..u64::MAX / 2, b in 0u64..u64::MAX / 2) {
-                let da = Duration::from_nanos(a);
-                let db = Duration::from_nanos(b);
-                prop_assert_eq!(da + db - db, da);
-            }
+        #[test]
+        fn add_sub_round_trip() {
+            assert_prop(
+                &PropConfig::named("add_sub_round_trip"),
+                |rng| (rng.below(u64::MAX / 2), rng.below(u64::MAX / 2)),
+                |&(a, b)| {
+                    let da = Duration::from_nanos(a);
+                    let db = Duration::from_nanos(b);
+                    assert_eq!(da + db - db, da);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn ratio_times_denominator_recovers_numerator(
-                c in 1u64..1_000_000_000,
-                p in 1u64..1_000_000_000,
-            ) {
-                let r = Duration::from_nanos(c).ratio(Duration::from_nanos(p));
-                prop_assert!((r * p as f64 - c as f64).abs() < 1e-3);
-            }
+        #[test]
+        fn ratio_times_denominator_recovers_numerator() {
+            assert_prop(
+                &PropConfig::named("ratio_times_denominator_recovers_numerator"),
+                |rng| (rng.below(999_999_999), rng.below(999_999_999)),
+                |&(c, p)| {
+                    let (c, p) = (1 + c, 1 + p);
+                    let r = Duration::from_nanos(c).ratio(Duration::from_nanos(p));
+                    assert!((r * p as f64 - c as f64).abs() < 1e-3);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn display_round_trips_through_nanos(ns in 0u64..1_000_000_000_000) {
-                // Display never loses the underlying value's identity.
-                let d = Duration::from_nanos(ns);
-                prop_assert_eq!(d.as_nanos(), ns);
-            }
+        #[test]
+        fn display_round_trips_through_nanos() {
+            assert_prop(
+                &PropConfig::named("display_round_trips_through_nanos"),
+                |rng| rng.below(1_000_000_000_000),
+                |&ns| {
+                    // Display never loses the underlying value's identity.
+                    let d = Duration::from_nanos(ns);
+                    assert_eq!(d.as_nanos(), ns);
+                    Ok(())
+                },
+            );
+        }
 
-            #[test]
-            fn instant_ordering_is_consistent_with_nanos(a in 0u64..u64::MAX, b in 0u64..u64::MAX) {
-                let ia = Instant::from_nanos(a);
-                let ib = Instant::from_nanos(b);
-                prop_assert_eq!(ia < ib, a < b);
-            }
+        #[test]
+        fn instant_ordering_is_consistent_with_nanos() {
+            assert_prop(
+                &PropConfig::named("instant_ordering_is_consistent_with_nanos"),
+                |rng| (rng.below(u64::MAX), rng.below(u64::MAX)),
+                |&(a, b)| {
+                    let ia = Instant::from_nanos(a);
+                    let ib = Instant::from_nanos(b);
+                    assert_eq!(ia < ib, a < b);
+                    Ok(())
+                },
+            );
         }
     }
 }

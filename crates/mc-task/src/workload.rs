@@ -27,8 +27,15 @@ impl McTask {
     ///
     /// # Errors
     ///
-    /// Returns the same errors [`crate::task::McTaskBuilder::build`] would.
+    /// Returns the same errors [`crate::task::McTaskBuilder::build`] would,
+    /// and [`TaskError::LcBudgetIsFixed`] for an LC task whose `c_hi`
+    /// differs from its `c_lo`.
     pub fn validate(&self) -> Result<(), TaskError> {
+        // The builder sets an LC task's C_HI to its C_LO, so it cannot
+        // see a deserialised LC task whose two budgets disagree.
+        if !self.criticality().is_high() && self.c_hi() != self.c_lo() {
+            return Err(TaskError::LcBudgetIsFixed { id: self.id() });
+        }
         let mut builder = McTask::builder(self.id())
             .name(self.name().to_string())
             .criticality(self.criticality())
@@ -149,6 +156,18 @@ mod tests {
         let evil = json.replacen("10000000", "90000000", 1); // c_lo 10 ms → 90 ms
         let err = Workload::load_json(&evil);
         assert!(err.is_err(), "c_lo > c_hi must be rejected: {err:?}");
+    }
+
+    #[test]
+    fn lc_budgets_that_disagree_are_rejected() {
+        let json = sample().to_json().unwrap();
+        // The LC task's c_hi 20 ms → 10 ms, below its c_lo.
+        let evil = json.replacen("\"c_hi\": 20000000", "\"c_hi\": 10000000", 1);
+        assert_ne!(evil, json);
+        assert!(matches!(
+            Workload::load_json(&evil),
+            Err(TaskError::LcBudgetIsFixed { .. })
+        ));
     }
 
     #[test]

@@ -464,7 +464,7 @@ fn help_lists_fault_sweep() {
 
 #[test]
 fn serve_with_real_worker_processes_matches_a_serial_run() {
-    use std::io::BufRead;
+    use std::io::{BufRead, Read, Write};
 
     let serial = tmp("serve-serial.jsonl");
     let ckpt = tmp("serve-ckpt.jsonl");
@@ -523,6 +523,20 @@ fn serve_with_real_worker_processes_matches_a_serial_run() {
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("unexpected announcement {first_line:?}"))
         .to_string();
+
+    // Hostile clients first: a frame nested 20 000 levels deep, then a
+    // bare 16 MiB length prefix with 3 payload bytes and a hang-up. The
+    // coordinator must drop both connections and keep serving.
+    for frame in [
+        format!("20000\n{}\n", "[".repeat(20_000)).into_bytes(),
+        b"16777216\nabc".to_vec(),
+    ] {
+        let mut conn = std::net::TcpStream::connect(addr.as_str()).expect("coordinator accepts");
+        conn.write_all(&frame).expect("frame sent");
+        conn.shutdown(std::net::Shutdown::Write).expect("hang up");
+        // Returns once the coordinator has closed its end.
+        let _ = conn.read(&mut [0u8; 1]);
+    }
 
     // One worker by fixed address, one discovering it through the file.
     // Units are throttled so the campaign outlives both process startups

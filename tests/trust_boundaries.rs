@@ -1,0 +1,187 @@
+//! Seeded fuzzing of every input that crosses a trust boundary: wire
+//! frames, workload JSON, store files, `.prog` models and `lint.toml`.
+//!
+//! Each property mutates checked-in inputs with bit flips, byte inserts,
+//! deletes, truncations and runs of the format's nesting opener, and
+//! requires the parser to return `Ok` or `Err`. A panic fails the property
+//! with its reproducing seed; a stack overflow aborts the test binary.
+
+use chebymc::exec::parse::parse_program;
+use chebymc::exp::catalog::{self, CatalogOptions};
+use chebymc::exp::{run_campaign, Metric, RunConfig, Store, UnitRecord};
+use chebymc::fault::{assert_prop, FaultRng, PropConfig};
+use chebymc::lint::source_pass::Allowlist;
+use chebymc::serve::{read_frame, Message};
+use chebymc::task::workload::Workload;
+
+/// One raw edit: a kind, a position and an argument. Every triple maps to
+/// a valid edit, so shrinking an edit list never leaves the domain.
+type Edit = (u64, u64, u64);
+
+/// One to eight raw edits.
+fn edits(rng: &mut FaultRng) -> Vec<Edit> {
+    let n = rng.range_u64(1, 8);
+    (0..n)
+        .map(|_| (rng.next_u64(), rng.next_u64(), rng.next_u64()))
+        .collect()
+}
+
+/// Applies `edits` to `base` in order. A nesting run repeats `opener`
+/// 1 to 8 192 times: far past every parser's depth limit, and deep enough
+/// to overflow the stack of an uncapped recursive parser.
+fn mutate(base: &[u8], edits: &[Edit], opener: &[u8]) -> Vec<u8> {
+    let mut bytes = base.to_vec();
+    for &(kind, at, arg) in edits {
+        let at = (at % (bytes.len() as u64 + 1)) as usize;
+        match kind % 5 {
+            0 if at < bytes.len() => bytes[at] ^= 1 << (arg % 8),
+            1 => bytes.insert(at, arg as u8),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            3 => bytes.truncate(at),
+            4 => {
+                let run = opener.repeat(1 << (arg % 14));
+                bytes.splice(at..at, run);
+            }
+            _ => {}
+        }
+    }
+    bytes
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+#[test]
+fn wire_frames_fail_cleanly() {
+    let spec = catalog::build("table2", &CatalogOptions::default())
+        .unwrap()
+        .spec;
+    let unit = spec.unit(0);
+    let messages = [
+        Message::Hello {
+            worker: "w0".into(),
+            threads: 1,
+        },
+        Message::Submit { spec },
+        Message::Record {
+            lease: 0,
+            record: UnitRecord {
+                unit: unit.index,
+                point: unit.point,
+                replica: unit.replica,
+                seed: unit.seed,
+                metrics: vec![Metric::new("value", 0.5)],
+            },
+        },
+        Message::Heartbeat,
+    ];
+    let payloads: Vec<String> = messages
+        .iter()
+        .map(|m| serde_json::to_string(m).unwrap())
+        .collect();
+    assert_prop(
+        &PropConfig::named("wire-frames").cases(1000),
+        // Payload edits keep a matching length prefix, so nested JSON
+        // reaches the parser; stream edits break the framing itself.
+        |rng| (edits(rng), edits(rng)),
+        |(payload_edits, stream_edits)| {
+            let mut stream = Vec::new();
+            for payload in &payloads {
+                let payload = mutate(payload.as_bytes(), payload_edits, b"[");
+                stream.extend_from_slice(format!("{}\n", payload.len()).as_bytes());
+                stream.extend_from_slice(&payload);
+                stream.push(b'\n');
+            }
+            let stream = mutate(&stream, stream_edits, b"[");
+            let mut r = &stream[..];
+            while let Ok(Some(_)) = read_frame(&mut r) {}
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn workload_json_fails_cleanly() {
+    let fixtures = [
+        include_str!("../fixtures/synthetic_u075.json"),
+        include_str!("../fixtures/automotive_u070_seed1.json"),
+    ];
+    assert_prop(
+        &PropConfig::named("workload-json").cases(2000),
+        edits,
+        |edits| {
+            for fixture in fixtures {
+                let _ = Workload::load_json(&text(&mutate(fixture.as_bytes(), edits, b"[")));
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn store_files_fail_cleanly() {
+    let tiny = CatalogOptions {
+        samples: Some(200),
+        ..CatalogOptions::default()
+    };
+    let c = catalog::build("table2", &tiny).unwrap();
+    let mut store = Store::in_memory(&c.spec);
+    run_campaign(
+        &c.spec,
+        c.runner.as_ref(),
+        &mut store,
+        &RunConfig::default(),
+    )
+    .unwrap();
+    let lines = store.canonical_lines();
+    let path = std::env::temp_dir().join(format!(
+        "chebymc-trust-boundaries-{}.jsonl",
+        std::process::id()
+    ));
+    assert_prop(
+        &PropConfig::named("store-files").cases(500),
+        edits,
+        |edits| {
+            std::fs::write(&path, mutate(lines.as_bytes(), edits, b"[")).unwrap();
+            let _ = Store::load(&path, None);
+            Ok(())
+        },
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn prog_sources_fail_cleanly() {
+    let fixtures = [
+        include_str!("../fixtures/image_kernel.prog"),
+        include_str!("../fixtures/sort_kernel.prog"),
+        include_str!("../fixtures/state_machine.prog"),
+    ];
+    assert_prop(
+        &PropConfig::named("prog-sources").cases(500),
+        edits,
+        |edits| {
+            for fixture in fixtures {
+                let mutated = mutate(fixture.as_bytes(), edits, b"loop l 1 bound=1 {");
+                let _ = parse_program(&text(&mutated));
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn lint_allowlists_fail_cleanly() {
+    let allowlist = include_str!("../lint.toml");
+    assert_prop(
+        &PropConfig::named("lint-allowlist").cases(1000),
+        edits,
+        |edits| {
+            let _ = Allowlist::parse(&text(&mutate(allowlist.as_bytes(), edits, b"[")));
+            Ok(())
+        },
+    );
+}
