@@ -250,7 +250,13 @@ impl Parser {
 
     fn cost(&mut self, what: &str) -> Result<u64, ParseError> {
         let v = self.number(what)?;
-        if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
+        self.integer(v, what)
+    }
+
+    /// `v` as a `u64`, refusing fractions and anything outside `[0, 2⁶⁴)`
+    /// (which a cast would saturate).
+    fn integer(&self, v: f64, what: &str) -> Result<u64, ParseError> {
+        if v < 0.0 || v.fract() != 0.0 || v >= u64::MAX as f64 {
             return Err(self.err_here(format!("{what} must be a non-negative integer")));
         }
         Ok(v as u64)
@@ -260,6 +266,12 @@ impl Parser {
     fn keyed_number(&mut self, key: &str) -> Result<f64, ParseError> {
         self.expect(Tok::Eq, &format!("`=` after `{key}`"))?;
         self.number(&format!("value for `{key}`"))
+    }
+
+    /// `key=INTEGER`, where the key ident was already consumed.
+    fn keyed_integer(&mut self, key: &str) -> Result<u64, ParseError> {
+        let v = self.keyed_number(key)?;
+        self.integer(v, &format!("`{key}`"))
     }
 
     /// `{ STATEMENTS }`, one nesting level deeper; `what` names the body
@@ -306,13 +318,11 @@ impl Parser {
                             match key.as_str() {
                                 "bound" => {
                                     self.pos += 1;
-                                    let v = self.keyed_number("bound")?;
-                                    bound = Some(v as u64);
+                                    bound = Some(self.keyed_integer("bound")?);
                                 }
                                 "min" => {
                                     self.pos += 1;
-                                    let v = self.keyed_number("min")?;
-                                    min = Some(v as u64);
+                                    min = Some(self.keyed_integer("min")?);
                                 }
                                 "avg" => {
                                     self.pos += 1;
@@ -324,7 +334,15 @@ impl Parser {
                         let bound =
                             bound.ok_or_else(|| self.err_here("loop requires `bound=N`"))?;
                         let min = min.unwrap_or(0);
-                        let avg = avg.unwrap_or((min + bound) as f64 / 2.0);
+                        let avg = match avg {
+                            Some(avg) => avg,
+                            None => {
+                                let sum = min.checked_add(bound).ok_or_else(|| {
+                                    self.err_here("loop `min + bound` overflows 64 bits")
+                                })?;
+                                sum as f64 / 2.0
+                            }
+                        };
                         let body = self.body("loop body")?;
                         items.push(Program::variable_loop(
                             BasicBlock::new(name, header_cost),
@@ -386,7 +404,7 @@ impl Parser {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let p = parse_program("block a 3; loop l 1 bound=4 { block b 2; }")?;
-/// assert_eq!(p.wcet(), 3 + 5 * 1 + 4 * 2);
+/// assert_eq!(p.wcet()?, 3 + 5 * 1 + 4 * 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -464,22 +482,22 @@ mod tests {
     #[test]
     fn parses_single_block() {
         let p = parse_program("block setup 42;").unwrap();
-        assert_eq!(p.wcet(), 42);
+        assert_eq!(p.wcet().unwrap(), 42);
     }
 
     #[test]
     fn parses_loop_with_defaults() {
         let p = parse_program("loop l 2 bound=10 { block b 7; }").unwrap();
-        assert_eq!(p.wcet(), 11 * 2 + 10 * 7);
-        assert_eq!(p.bcet(), 2); // min defaults to 0
+        assert_eq!(p.wcet().unwrap(), 11 * 2 + 10 * 7);
+        assert_eq!(p.bcet().unwrap(), 2); // min defaults to 0
         assert!((p.acet_estimate() - (6.0 * 2.0 + 5.0 * 7.0)).abs() < 1e-9);
     }
 
     #[test]
     fn parses_branch() {
         let p = parse_program("if cond 1 p=0.25 { block t 10; } else { block e 4; }").unwrap();
-        assert_eq!(p.wcet(), 11);
-        assert_eq!(p.bcet(), 5);
+        assert_eq!(p.wcet().unwrap(), 11);
+        assert_eq!(p.bcet().unwrap(), 5);
         assert!((p.acet_estimate() - (1.0 + 0.25 * 10.0 + 0.75 * 4.0)).abs() < 1e-9);
     }
 
@@ -499,7 +517,7 @@ mod tests {
         ";
         let p = parse_program(src).unwrap();
         // Matches the hand-built program in examples/wcet_analysis.rs.
-        assert_eq!(p.wcet(), 120 + 65 * 4 + 64 * (2 + 180) + 40);
+        assert_eq!(p.wcet().unwrap(), 120 + 65 * 4 + 64 * (2 + 180) + 40);
         // The full analyser accepts it (tree and CFG agree).
         assert!(analyze(&p).is_ok());
     }
@@ -507,7 +525,7 @@ mod tests {
     #[test]
     fn underscores_in_numbers_are_allowed() {
         let p = parse_program("block big 1_000_000;").unwrap();
-        assert_eq!(p.wcet(), 1_000_000);
+        assert_eq!(p.wcet().unwrap(), 1_000_000);
     }
 
     #[test]
@@ -533,6 +551,36 @@ mod tests {
 
         let err = parse_program("block a @;").unwrap_err();
         assert!(err.to_string().contains("unexpected character"), "{err}");
+    }
+
+    #[test]
+    fn loop_counts_must_be_64_bit_integers() {
+        for src in [
+            "loop l 1 bound=1e30 { block b 2; }",
+            "loop l 1 bound=2.5 { block b 2; }",
+            "loop l 1 bound=4 min=0.5 { block b 2; }",
+            "loop l 1 bound=4 min=1e20 { block b 2; }",
+        ] {
+            let err = parse_program(src).unwrap_err();
+            assert!(err.to_string().contains("integer"), "{src}: {err}");
+        }
+        // Both counts fit 64 bits, but the default average's sum does not.
+        let src = "loop l 1 bound=1.8e19 min=1.8e19 { block b 2; }";
+        let err = parse_program(src).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    #[test]
+    fn costs_past_64_bits_are_an_error() {
+        let p = parse_program("loop l 1 bound=1e19 { block b 2; }").unwrap();
+        assert_eq!(p.wcet(), Err(ExecError::CostOverflow));
+        assert_eq!(p.bcet(), Ok(1));
+        let p = parse_program("loop l 1 bound=1e19 min=1e19 avg=1e19 { block b 2; }").unwrap();
+        assert_eq!(p.bcet(), Err(ExecError::CostOverflow));
+        assert_eq!(
+            crate::wcet::analyze(&p).unwrap_err(),
+            ExecError::CostOverflow
+        );
     }
 
     #[test]
@@ -587,7 +635,7 @@ mod tests {
     #[test]
     fn empty_source_is_an_empty_program() {
         let p = parse_program("  # nothing but a comment\n").unwrap();
-        assert_eq!(p.wcet(), 0);
+        assert_eq!(p.wcet().unwrap(), 0);
     }
 
     mod properties {

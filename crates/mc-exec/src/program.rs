@@ -177,42 +177,56 @@ impl Program {
 
     /// Worst-case execution time (tree analysis): every branch takes its
     /// costlier arm, every loop runs to its bound.
-    pub fn wcet(&self) -> u64 {
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::CostOverflow`] when the cost exceeds 64 bits.
+    pub fn wcet(&self) -> Result<u64, ExecError> {
         match self {
-            Program::Block(b) => b.cost,
-            Program::Seq(parts) => parts.iter().map(Program::wcet).sum(),
+            Program::Block(b) => Ok(b.cost),
+            Program::Seq(parts) => total(parts.iter().map(Program::wcet)),
             Program::Branch {
                 cond,
                 then_branch,
                 else_branch,
                 ..
-            } => cond.cost + then_branch.wcet().max(else_branch.wcet()),
+            } => cond
+                .cost
+                .checked_add(then_branch.wcet()?.max(else_branch.wcet()?))
+                .ok_or(ExecError::CostOverflow),
             Program::Loop {
                 header,
                 bound,
                 body,
                 ..
-            } => (bound + 1) * header.cost + bound * body.wcet(),
+            } => loop_cost(header.cost, *bound, body.wcet()?),
         }
     }
 
     /// Best-case execution time: cheaper branch arms, minimum iterations.
-    pub fn bcet(&self) -> u64 {
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::CostOverflow`] when the cost exceeds 64 bits.
+    pub fn bcet(&self) -> Result<u64, ExecError> {
         match self {
-            Program::Block(b) => b.cost,
-            Program::Seq(parts) => parts.iter().map(Program::bcet).sum(),
+            Program::Block(b) => Ok(b.cost),
+            Program::Seq(parts) => total(parts.iter().map(Program::bcet)),
             Program::Branch {
                 cond,
                 then_branch,
                 else_branch,
                 ..
-            } => cond.cost + then_branch.bcet().min(else_branch.bcet()),
+            } => cond
+                .cost
+                .checked_add(then_branch.bcet()?.min(else_branch.bcet()?))
+                .ok_or(ExecError::CostOverflow),
             Program::Loop {
                 header,
                 min_iterations,
                 body,
                 ..
-            } => (min_iterations + 1) * header.cost + min_iterations * body.bcet(),
+            } => loop_cost(header.cost, *min_iterations, body.bcet()?),
         }
     }
 
@@ -341,6 +355,26 @@ impl Program {
     }
 }
 
+/// The sum of `costs`, or the first error among them.
+fn total(costs: impl IntoIterator<Item = Result<u64, ExecError>>) -> Result<u64, ExecError> {
+    costs.into_iter().try_fold(0u64, |sum, cost| {
+        sum.checked_add(cost?).ok_or(ExecError::CostOverflow)
+    })
+}
+
+/// The cost of a loop that runs `iterations` times: its header executes
+/// `iterations + 1` times and its body `iterations` times.
+fn loop_cost(header: u64, iterations: u64, body: u64) -> Result<u64, ExecError> {
+    let headers = iterations
+        .checked_add(1)
+        .and_then(|n| n.checked_mul(header));
+    let bodies = iterations.checked_mul(body);
+    headers
+        .zip(bodies)
+        .and_then(|(h, b)| h.checked_add(b))
+        .ok_or(ExecError::CostOverflow)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,8 +386,8 @@ mod tests {
     #[test]
     fn block_costs_are_exact() {
         let p = Program::block("b", 42);
-        assert_eq!(p.wcet(), 42);
-        assert_eq!(p.bcet(), 42);
+        assert_eq!(p.wcet().unwrap(), 42);
+        assert_eq!(p.bcet().unwrap(), 42);
         assert_eq!(p.acet_estimate(), 42.0);
         assert_eq!(p.block_count(), 1);
     }
@@ -361,8 +395,8 @@ mod tests {
     #[test]
     fn seq_sums() {
         let p = Program::seq([Program::block("a", 1), Program::block("b", 2)]);
-        assert_eq!(p.wcet(), 3);
-        assert_eq!(p.bcet(), 3);
+        assert_eq!(p.wcet().unwrap(), 3);
+        assert_eq!(p.bcet().unwrap(), 3);
         assert_eq!(p.acet_estimate(), 3.0);
     }
 
@@ -374,16 +408,16 @@ mod tests {
             Program::block("else", 4),
             0.25,
         );
-        assert_eq!(p.wcet(), 11);
-        assert_eq!(p.bcet(), 5);
+        assert_eq!(p.wcet().unwrap(), 11);
+        assert_eq!(p.bcet().unwrap(), 5);
         assert!((p.acet_estimate() - (1.0 + 0.25 * 10.0 + 0.75 * 4.0)).abs() < 1e-12);
     }
 
     #[test]
     fn loop_analysis_matches_formulas() {
         let p = Program::variable_loop(bb("h", 2), 10, 1, 4.0, Program::block("body", 7));
-        assert_eq!(p.wcet(), 11 * 2 + 10 * 7);
-        assert_eq!(p.bcet(), 2 * 2 + 7);
+        assert_eq!(p.wcet().unwrap(), 11 * 2 + 10 * 7);
+        assert_eq!(p.bcet().unwrap(), 2 * 2 + 7);
         assert!((p.acet_estimate() - (5.0 * 2.0 + 4.0 * 7.0)).abs() < 1e-12);
     }
 
@@ -398,8 +432,8 @@ mod tests {
             ),
             Program::variable_loop(bb("h", 1), 50, 0, 20.0, Program::block("b", 3)),
         ]);
-        assert!(p.bcet() as f64 <= p.acet_estimate());
-        assert!(p.acet_estimate() <= p.wcet() as f64);
+        assert!(p.bcet().unwrap() as f64 <= p.acet_estimate());
+        assert!(p.acet_estimate() <= p.wcet().unwrap() as f64);
     }
 
     #[test]
@@ -448,13 +482,13 @@ mod tests {
             Program::block("e", 4),
             0.5,
         );
-        assert_eq!(p.to_cfg().unwrap().wcet().unwrap(), p.wcet());
+        assert_eq!(p.to_cfg().unwrap().wcet().unwrap(), p.wcet().unwrap());
     }
 
     #[test]
     fn cfg_lowering_agrees_on_loop() {
         let p = Program::fixed_loop(bb("h", 2), 10, Program::block("b", 7));
-        assert_eq!(p.to_cfg().unwrap().wcet().unwrap(), p.wcet());
+        assert_eq!(p.to_cfg().unwrap().wcet().unwrap(), p.wcet().unwrap());
     }
 
     #[test]
@@ -476,13 +510,13 @@ mod tests {
             ),
             Program::block("fini", 3),
         ]);
-        assert_eq!(p.to_cfg().unwrap().wcet().unwrap(), p.wcet());
+        assert_eq!(p.to_cfg().unwrap().wcet().unwrap(), p.wcet().unwrap());
     }
 
     #[test]
     fn empty_seq_is_a_nop() {
         let p = Program::seq([]);
-        assert_eq!(p.wcet(), 0);
+        assert_eq!(p.wcet().unwrap(), 0);
         assert_eq!(p.to_cfg().unwrap().wcet().unwrap(), 0);
     }
 
@@ -539,9 +573,9 @@ mod tests {
                 |&(seed, depth)| {
                     let p = arb_program(&mut FaultRng::new(seed), depth);
                     p.validate().unwrap();
-                    assert!(p.bcet() <= p.wcet());
-                    assert!(p.bcet() as f64 <= p.acet_estimate() + 1e-9);
-                    assert!(p.acet_estimate() <= p.wcet() as f64 + 1e-9);
+                    assert!(p.bcet().unwrap() <= p.wcet().unwrap());
+                    assert!(p.bcet().unwrap() as f64 <= p.acet_estimate() + 1e-9);
+                    assert!(p.acet_estimate() <= p.wcet().unwrap() as f64 + 1e-9);
                     Ok(())
                 },
             );
@@ -555,7 +589,7 @@ mod tests {
                 |&(seed, depth)| {
                     let p = arb_program(&mut FaultRng::new(seed), depth);
                     let cfg = p.to_cfg().unwrap();
-                    assert_eq!(cfg.wcet().unwrap(), p.wcet());
+                    assert_eq!(cfg.wcet().unwrap(), p.wcet().unwrap());
                     Ok(())
                 },
             );

@@ -60,7 +60,7 @@ impl WcetReport {
 /// ```
 pub fn analyze(program: &Program) -> Result<WcetReport, ExecError> {
     program.validate()?;
-    let tree_wcet = program.wcet();
+    let tree_wcet = program.wcet()?;
     let cfg = program.to_cfg()?;
     let cfg_wcet = cfg.wcet()?;
     if tree_wcet != cfg_wcet {
@@ -71,7 +71,7 @@ pub fn analyze(program: &Program) -> Result<WcetReport, ExecError> {
     }
     Ok(WcetReport {
         wcet: tree_wcet,
-        bcet: program.bcet(),
+        bcet: program.bcet()?,
         acet_estimate: program.acet_estimate(),
         block_count: program.block_count(),
         cfg_node_count: cfg.live_node_count(),

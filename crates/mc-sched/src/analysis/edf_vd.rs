@@ -134,9 +134,30 @@ pub fn analyze(ts: &TaskSet) -> EdfVdAnalysis {
 ///
 /// Returns `0.0` when the HC tasks alone are infeasible
 /// (`U_HC^HI > 1` or `U_HC^LO > 1`).
+///
+/// Without LO-mode HC demand (`U_HC^LO ≤ ε`, ε = 10⁻⁹), Eq. 12's bound is
+/// its supremum, 1. Only a pure-LC system (`U_HC^HI ≤ ε`) attains it. Once
+/// HC tasks have HI-mode demand, a fully loaded LO mode leaves no room for
+/// the switch, and [`conditions_hold`] refuses every `U_LC^LO ≥ 1 − ε`.
+/// The bound is then the largest `U_LC^LO` that `conditions_hold` accepts,
+/// found by bisection, so the two functions agree on every input.
 pub fn max_u_lc_lo(u_hc_lo: f64, u_hc_hi: f64) -> f64 {
     if u_hc_hi > 1.0 + EPS || u_hc_lo > 1.0 + EPS || u_hc_lo > u_hc_hi + EPS {
         return 0.0;
+    }
+    if u_hc_lo <= EPS && u_hc_hi > EPS {
+        // Eq. 8 holds at 0 and fails from 1 − ε on, and the set it accepts
+        // is an interval: bisect its upper end.
+        let (mut held, mut failed) = (0.0, 1.0 - EPS);
+        for _ in 0..64 {
+            let mid = 0.5 * (held + failed);
+            if conditions_hold(u_hc_lo, u_hc_hi, mid) {
+                held = mid;
+            } else {
+                failed = mid;
+            }
+        }
+        return held;
     }
     // Eq. 11: LO-mode capacity.
     let bound_lo = 1.0 - u_hc_lo;
@@ -290,6 +311,23 @@ mod tests {
                     Ok(())
                 },
             );
+        }
+
+        /// The case shrinking found: no LO-mode HC demand, a sliver of
+        /// HI-mode demand. The bound used to be 1, which Eq. 8 refuses.
+        #[test]
+        fn max_u_lc_lo_without_lo_demand_is_feasible_and_maximal() {
+            for (u_hc_lo, u_hc_hi) in [(0.0, 1.49e-9), (0.0, 1.0), (1e-10, 0.9), (1e-9, 1.0)] {
+                let m = max_u_lc_lo(u_hc_lo, u_hc_hi);
+                assert!((0.0..=1.0).contains(&m), "({u_hc_lo}, {u_hc_hi}): {m}");
+                assert!(
+                    conditions_hold(u_hc_lo, u_hc_hi, m),
+                    "({u_hc_lo}, {u_hc_hi}): {m}"
+                );
+                assert!(!conditions_hold(u_hc_lo, u_hc_hi, m + 1e-9));
+            }
+            assert!(max_u_lc_lo(0.0, 1.49e-9) > 1.0 - 2e-9);
+            assert_eq!(max_u_lc_lo(0.0, 1e-9), 1.0, "pure LC attains 1");
         }
 
         #[test]

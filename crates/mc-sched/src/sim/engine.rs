@@ -13,6 +13,8 @@ use mc_task::{ExecutionProfile, TaskSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// How `C_LO` overruns trigger criticality-mode changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -133,6 +135,29 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
     if ts.is_empty() {
         return Err(SchedError::EmptyTaskSet);
     }
+    let run = run(&dual_plan(ts, cfg), cfg)?;
+    let m = &run.levels;
+    Ok(SimMetrics {
+        hc_released: m.released_per_level[1],
+        lc_released: m.released_per_level[0],
+        hc_completed: m.completed_per_level[1],
+        lc_completed: m.completed_per_level[0],
+        lc_degraded: run.degraded,
+        lc_dropped_at_switch: m.jobs_killed,
+        lc_rejected_in_hi: m.releases_rejected,
+        hc_deadline_misses: m.misses_per_level[1],
+        lc_deadline_misses: m.misses_per_level[0],
+        mode_switches: m.escalations[0],
+        task_level_switches: run.task_level_switches,
+        time_in_hi: m.time_in_mode[1],
+        busy_time: m.busy_time,
+        horizon: m.horizon,
+    })
+}
+
+/// The plan of a dual-criticality set: LC tasks at level 0, HC tasks at
+/// level 1 dispatched in LO mode by their EDF-VD virtual deadlines.
+fn dual_plan<'a>(ts: &'a TaskSet, cfg: &SimConfig) -> Plan<'a> {
     let x = match cfg.x_factor {
         Some(x) => x,
         None => edf_vd::x_factor(ts.u_hc_lo(), ts.u_lc_lo()).unwrap_or(1.0),
@@ -152,24 +177,7 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
             dispatch: edf_vd::virtual_deadline(task, x),
         });
     }
-    let run = run(&plan, cfg)?;
-    let m = &run.levels;
-    Ok(SimMetrics {
-        hc_released: m.released_per_level[1],
-        lc_released: m.released_per_level[0],
-        hc_completed: m.completed_per_level[1],
-        lc_completed: m.completed_per_level[0],
-        lc_degraded: run.degraded,
-        lc_dropped_at_switch: m.jobs_killed,
-        lc_rejected_in_hi: m.releases_rejected,
-        hc_deadline_misses: m.misses_per_level[1],
-        lc_deadline_misses: m.misses_per_level[0],
-        mode_switches: m.escalations[0],
-        task_level_switches: run.task_level_switches,
-        time_in_hi: m.time_in_mode[1],
-        busy_time: m.busy_time,
-        horizon: m.horizon,
-    })
+    plan
 }
 
 /// The task table of one run, built once by an adapter so the event loop
@@ -243,6 +251,10 @@ pub(super) struct RunMetrics {
     pub degraded: u64,
     /// Overruns contained at task level.
     pub task_level_switches: u64,
+    /// Loop iterations, the last one reaching the horizon.
+    pub events: u64,
+    /// Releases, admitted or rejected.
+    pub releases: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -275,6 +287,156 @@ impl Job {
             self.degraded = true;
         }
     }
+
+    /// Whether the job has run its current-mode budget out without
+    /// finishing.
+    fn overruns(&self, mode: usize) -> bool {
+        self.level > mode && self.executed >= self.budget && !self.remaining.is_zero()
+    }
+}
+
+/// A min-heap of `(time, task index)`: equal times pop in task-index order.
+type MinHeap = BinaryHeap<Reverse<(Instant, usize)>>;
+
+/// Marks a task with no pending job in [`Pending::slot`].
+const NO_JOB: usize = usize::MAX;
+
+/// The pending jobs and the two heaps that order them.
+///
+/// A task has at most one pending job: its deadline lies within its period
+/// (checked when the run starts), and the deadline pass kills a late job
+/// before its task releases again. So `slot` maps a task to its job's
+/// position, and removal is a `swap_remove`.
+///
+/// Both heaps delete lazily: an entry whose job has left, or whose key a
+/// mode change replaced, stays until it surfaces and is then dropped. An
+/// entry is live while its task's job still carries its time. Within one
+/// mode a task's successive jobs have strictly later keys and deadlines,
+/// and every mode change rebuilds `ready`, so a stale entry never matches.
+struct Pending {
+    jobs: Vec<Job>,
+    /// Task index → position in `jobs`, or [`NO_JOB`].
+    slot: Vec<usize>,
+    /// Pending jobs per criticality level.
+    per_level: Vec<usize>,
+    /// EDF ready queue over `(key, task index)`.
+    ready: MinHeap,
+    /// Absolute deadlines, `(abs_deadline, task index)`.
+    deadlines: MinHeap,
+}
+
+impl Pending {
+    fn new(tasks: usize, levels: usize) -> Self {
+        Pending {
+            jobs: Vec::new(),
+            slot: vec![NO_JOB; tasks],
+            per_level: vec![0; levels],
+            ready: BinaryHeap::new(),
+            deadlines: BinaryHeap::new(),
+        }
+    }
+
+    fn insert(&mut self, job: Job) {
+        debug_assert_eq!(self.slot[job.task_idx], NO_JOB, "one job per task");
+        self.slot[job.task_idx] = self.jobs.len();
+        self.per_level[job.level] += 1;
+        self.ready.push(Reverse((job.key, job.task_idx)));
+        self.deadlines
+            .push(Reverse((job.abs_deadline, job.task_idx)));
+        self.jobs.push(job);
+    }
+
+    fn remove(&mut self, pos: usize) -> Job {
+        let job = self.jobs.swap_remove(pos);
+        self.slot[job.task_idx] = NO_JOB;
+        if let Some(moved) = self.jobs.get(pos) {
+            self.slot[moved.task_idx] = pos;
+        }
+        self.per_level[job.level] -= 1;
+        job
+    }
+
+    /// Keeps the jobs `keep` accepts and returns how many it removed.
+    fn retain(&mut self, keep: impl Fn(&Job) -> bool) -> u64 {
+        let before = self.jobs.len();
+        for j in &self.jobs {
+            self.slot[j.task_idx] = NO_JOB;
+        }
+        self.jobs.retain(keep);
+        self.per_level.fill(0);
+        for (pos, j) in self.jobs.iter().enumerate() {
+            self.slot[j.task_idx] = pos;
+            self.per_level[j.level] += 1;
+        }
+        (before - self.jobs.len()) as u64
+    }
+
+    /// The position of the job the top live entry of `heap` names, after
+    /// dropping the stale entries above it. `time` reads the job's side of
+    /// the entry.
+    fn top(
+        heap: &mut MinHeap,
+        jobs: &[Job],
+        slot: &[usize],
+        time: impl Fn(&Job) -> Instant,
+    ) -> Option<usize> {
+        while let Some(&Reverse((t, idx))) = heap.peek() {
+            let pos = slot[idx];
+            if pos != NO_JOB && time(&jobs[pos]) == t {
+                return Some(pos);
+            }
+            heap.pop();
+        }
+        None
+    }
+
+    /// The job EDF dispatches: the least `(key, task index)`.
+    fn running(&mut self) -> Option<usize> {
+        Self::top(&mut self.ready, &self.jobs, &self.slot, |j| j.key)
+    }
+
+    /// The job with the earliest absolute deadline.
+    fn earliest_deadline(&mut self) -> Option<usize> {
+        Self::top(&mut self.deadlines, &self.jobs, &self.slot, |j| {
+            j.abs_deadline
+        })
+    }
+
+    /// Refreshes every job's dispatch key and budget for `mode`, and
+    /// rebuilds the ready heap over the new keys.
+    fn rekey(&mut self, plan: &Plan<'_>, mode: usize) {
+        let mut ready = std::mem::take(&mut self.ready).into_vec();
+        ready.clear();
+        for j in &mut self.jobs {
+            let entry = plan.mode(j.task_idx, mode);
+            j.key = j.release + entry.dispatch;
+            j.budget = entry.budget;
+            ready.push(Reverse((j.key, j.task_idx)));
+        }
+        self.ready = BinaryHeap::from(ready);
+    }
+}
+
+/// The most events a run of `plan` over `horizon` can take, or `None` when
+/// that count overflows 64 bits (or a period is zero).
+///
+/// A task releases at most `⌈horizon / period⌉` times. Each loop iteration
+/// stops at the next event, and every event uses up one of: a release; the
+/// completion, deadline miss or kill of a released job (once per job); or
+/// the running job reaching one of its budgets below its own level (at
+/// most `L − 1` per job, since its execution only grows). The last
+/// iteration reaches the horizon. So a run takes at most `L + 1` events
+/// per release, plus one.
+fn event_bound(plan: &Plan<'_>, horizon: Duration) -> Option<u64> {
+    let mut releases: u64 = 0;
+    for task in &plan.tasks {
+        let period = task.period.as_nanos();
+        let per_task = (period > 0).then(|| horizon.as_nanos().div_ceil(period))?;
+        releases = releases.checked_add(per_task)?;
+    }
+    releases
+        .checked_mul(u64::try_from(plan.levels).ok()?.checked_add(1)?)?
+        .checked_add(1)
 }
 
 /// The event loop behind [`simulate`] and [`super::simulate_multi`]: the
@@ -290,13 +452,28 @@ impl Job {
 /// `cfg.lc_policy`. The system returns to mode 0 once no job at or above
 /// the mode is ready. `cfg.x_factor` is the adapters' business: the plan
 /// already carries the virtual deadlines.
+///
+/// Three heaps replace per-event scans: the next release of every task,
+/// the EDF ready queue and the pending deadlines. The escalation scan runs
+/// only when an overrun may have begun, and the deadline pass only once
+/// the earliest deadline has arrived. The run emits its event and release
+/// counts as the `mc-obs` counters `sched.sim_events` and
+/// `sched.sim_releases`.
 pub(super) fn run(plan: &Plan<'_>, cfg: &SimConfig) -> Result<RunMetrics, SchedError> {
     let levels = plan.levels;
     let top_mode = levels - 1;
     let tasks = &plan.tasks;
+    if tasks.iter().any(|t| t.deadline > t.period) {
+        return Err(SchedError::InvalidSimConfig {
+            reason: "every deadline must lie within its period",
+        });
+    }
+    let max_events = event_bound(plan, cfg.horizon).ok_or(SchedError::SimulationDiverged)?;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut next_release: Vec<Instant> = vec![Instant::ZERO; tasks.len()];
-    let mut pending: Vec<Job> = Vec::new();
+    let mut releases: MinHeap = (0..tasks.len())
+        .map(|idx| Reverse((Instant::ZERO, idx)))
+        .collect();
+    let mut pending = Pending::new(tasks.len(), levels);
     let mut mode = 0usize;
     let mut clock = Instant::ZERO;
     let mut mode_entered = Instant::ZERO;
@@ -311,52 +488,50 @@ pub(super) fn run(plan: &Plan<'_>, cfg: &SimConfig) -> Result<RunMetrics, SchedE
     };
     let mut degraded = 0u64;
     let mut contained = 0u64;
+    let mut events = 0u64;
+    let mut released = 0u64;
+    // Set when a job may have begun to overrun since the last escalation
+    // scan: the running job reached its budget, a mode change rekeyed the
+    // jobs, or a job was released at its budget.
+    let mut scan = false;
     let horizon = Instant::ZERO + cfg.horizon;
 
-    // Bound the number of events defensively: releases dominate.
-    let mut guard: u64 = 0;
-    let max_events: u64 = 10_000_000;
-
     loop {
-        guard += 1;
-        if guard > max_events {
+        events += 1;
+        if events > max_events {
             return Err(SchedError::SimulationDiverged);
         }
 
-        let running_idx = pending
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, j)| (j.key, j.task_idx))
-            .map(|(i, _)| i);
+        let running = pending.running();
 
-        // Next event time. An empty release queue is a structural error
-        // (guarded above), never a panic: mc-serve workers simulate task
-        // sets rebuilt from shipped specs and must fail a unit, not crash.
-        let t_release = next_release
-            .iter()
-            .copied()
-            .min()
-            .ok_or(SchedError::EmptyTaskSet)?;
+        // Next event time. An empty release queue is a structural error,
+        // never a panic: mc-serve workers simulate task sets rebuilt from
+        // shipped specs and must fail a unit, not crash.
+        let Some(&Reverse((t_release, _))) = releases.peek() else {
+            return Err(SchedError::EmptyTaskSet);
+        };
         let mut t_next = horizon.min(t_release);
-        if let Some(ri) = running_idx {
-            let j = &pending[ri];
+        if let Some(ri) = running {
+            let j = &pending.jobs[ri];
             t_next = t_next.min(clock + j.remaining);
             if j.level > mode && j.executed < j.budget {
                 t_next = t_next.min(clock + (j.budget - j.executed));
             }
         }
         // Earliest pending deadline (a queued job can miss while another runs).
-        if let Some(d) = pending.iter().map(|j| j.abs_deadline).min() {
-            t_next = t_next.min(d);
+        if let Some(di) = pending.earliest_deadline() {
+            t_next = t_next.min(pending.jobs[di].abs_deadline);
         }
 
         // Advance time, accounting execution to the running job.
         let delta = t_next - clock;
-        if let Some(ri) = running_idx {
-            let j = &mut pending[ri];
+        if let Some(ri) = running {
+            let j = &mut pending.jobs[ri];
+            let within_budget = j.executed < j.budget;
             j.remaining = j.remaining.saturating_sub(delta);
             j.executed += delta;
             m.busy_time += delta;
+            scan |= within_budget && j.overruns(mode);
         }
         clock = t_next;
 
@@ -365,9 +540,9 @@ pub(super) fn run(plan: &Plan<'_>, cfg: &SimConfig) -> Result<RunMetrics, SchedE
         }
 
         // 1. Completion of the running job.
-        if let Some(ri) = running_idx {
-            if pending[ri].remaining.is_zero() {
-                let j = pending.swap_remove(ri);
+        if let Some(ri) = running {
+            if pending.jobs[ri].remaining.is_zero() {
+                let j = pending.remove(ri);
                 if j.degraded {
                     degraded += 1;
                 } else {
@@ -376,55 +551,60 @@ pub(super) fn run(plan: &Plan<'_>, cfg: &SimConfig) -> Result<RunMetrics, SchedE
             }
         }
 
-        // 2. Budget overruns escalate the mode.
-        while mode < top_mode && escalates(&mut pending, mode, cfg.mode_switch, &mut contained) {
-            m.escalations[mode] += 1;
-            m.time_in_mode[mode] += clock - mode_entered;
-            mode_entered = clock;
-            mode += 1;
-            let before = pending.len();
-            match cfg.lc_policy {
-                LcPolicy::DropAll => {
-                    pending.retain(|j| j.level >= mode);
-                    m.jobs_killed += (before - pending.len()) as u64;
-                }
-                LcPolicy::Degrade(f) => {
-                    for j in pending.iter_mut().filter(|j| j.level < mode) {
-                        j.degrade(degraded_budget(&tasks[j.task_idx], f));
+        // 2. Budget overruns escalate the mode. Without a new overrun the
+        // scan would find what the last one found: nothing to escalate, and
+        // every overrunning job already contained.
+        if std::mem::take(&mut scan) {
+            while mode < top_mode
+                && escalates(&mut pending.jobs, mode, cfg.mode_switch, &mut contained)
+            {
+                m.escalations[mode] += 1;
+                m.time_in_mode[mode] += clock - mode_entered;
+                mode_entered = clock;
+                mode += 1;
+                match cfg.lc_policy {
+                    LcPolicy::DropAll => {
+                        m.jobs_killed += pending.retain(|j| j.level >= mode);
                     }
-                    // Jobs whose remaining collapsed to zero complete now.
-                    pending.retain(|j| j.level >= mode || !j.remaining.is_zero());
-                    degraded += (before - pending.len()) as u64;
+                    LcPolicy::Degrade(f) => {
+                        for j in pending.jobs.iter_mut().filter(|j| j.level < mode) {
+                            j.degrade(degraded_budget(&tasks[j.task_idx], f));
+                        }
+                        // Jobs whose remaining collapsed to zero complete now.
+                        degraded += pending.retain(|j| j.level >= mode || !j.remaining.is_zero());
+                    }
                 }
+                pending.rekey(plan, mode);
             }
-            rekey(&mut pending, plan, mode);
         }
 
         // 3. Deadline misses: any unfinished job past its absolute deadline
-        // is killed and counted. (Results never depend on the order of
-        // `pending`: a task has at most one pending job, and dispatch ties
-        // break on task index.)
-        pending.retain(|j| {
-            let missed = j.abs_deadline <= clock && !j.remaining.is_zero();
-            if missed {
-                m.misses_per_level[j.level] += 1;
+        // is killed and counted. (Every pending job is unfinished: a job
+        // leaves the moment its remaining time reaches zero.)
+        while let Some(di) = pending.earliest_deadline() {
+            if pending.jobs[di].abs_deadline > clock {
+                break;
             }
-            !missed
-        });
+            let j = pending.remove(di);
+            m.misses_per_level[j.level] += 1;
+        }
 
         // 4. §III: back to mode 0 once no job at or above the mode is ready.
-        if mode > 0 && !pending.iter().any(|j| j.level >= mode) {
+        if mode > 0 && pending.per_level[mode..].iter().all(|&n| n == 0) {
             m.time_in_mode[mode] += clock - mode_entered;
             mode_entered = clock;
             mode = 0;
-            rekey(&mut pending, plan, mode);
+            pending.rekey(plan, mode);
+            scan = true;
         }
 
         // 5. Releases due now, in task-index order.
-        for (idx, task) in tasks.iter().enumerate() {
-            if next_release[idx] != clock {
-                continue;
+        while let Some(mut next) = releases.peek_mut() {
+            let Reverse((at, idx)) = *next;
+            if at != clock {
+                break;
             }
+            let task = &tasks[idx];
             // Sporadic semantics: the period is the *minimum* separation;
             // jitter pushes the next release later, never earlier.
             let jitter = if cfg.release_jitter.is_zero() {
@@ -432,7 +612,9 @@ pub(super) fn run(plan: &Plan<'_>, cfg: &SimConfig) -> Result<RunMetrics, SchedE
             } else {
                 Duration::from_nanos(rng.random_range(0..=cfg.release_jitter.as_nanos()))
             };
-            next_release[idx] = clock + task.period + jitter;
+            *next = Reverse((clock + task.period + jitter, idx));
+            drop(next);
+            released += 1;
             let below_mode = task.level < mode;
             if below_mode && cfg.lc_policy == LcPolicy::DropAll {
                 m.releases_rejected += 1;
@@ -461,16 +643,22 @@ pub(super) fn run(plan: &Plan<'_>, cfg: &SimConfig) -> Result<RunMetrics, SchedE
                 job.degrade(degraded_budget(task, f));
             }
             m.released_per_level[task.level] += 1;
-            pending.push(job);
+            scan |= job.overruns(mode);
+            pending.insert(job);
         }
     }
 
     m.time_in_mode[mode] += clock.min(horizon) - mode_entered;
-    Ok(RunMetrics {
+    let run = RunMetrics {
         levels: m,
         degraded,
         task_level_switches: contained,
-    })
+        events,
+        releases: released,
+    };
+    mc_obs::counter("sched.sim_events", run.events);
+    mc_obs::counter("sched.sim_releases", run.releases);
+    Ok(run)
 }
 
 /// Whether the overruns ready at this instant escalate out of `mode`.
@@ -482,12 +670,11 @@ fn escalates(
     policy: ModeSwitchPolicy,
     contained: &mut u64,
 ) -> bool {
-    let overruns = |j: &Job| j.level > mode && j.executed >= j.budget && !j.remaining.is_zero();
     match policy {
-        ModeSwitchPolicy::System => pending.iter().any(overruns),
+        ModeSwitchPolicy::System => pending.iter().any(|j| j.overruns(mode)),
         ModeSwitchPolicy::TaskLevelThenSystem => {
             let mut overrunning = 0usize;
-            for j in pending.iter_mut().filter(|j| overruns(j)) {
+            for j in pending.iter_mut().filter(|j| j.overruns(mode)) {
                 overrunning += 1;
                 if !j.contained {
                     j.contained = true;
@@ -503,15 +690,6 @@ fn escalates(
 /// mode-0 budget, at least 1 ns.
 fn degraded_budget(task: &PlanTask<'_>, fraction: f64) -> Duration {
     task.lowest.mul_f64(fraction).max(Duration::from_nanos(1))
-}
-
-/// Refreshes every pending job's dispatch key and budget for `mode`.
-fn rekey(pending: &mut [Job], plan: &Plan<'_>, mode: usize) {
-    for j in pending {
-        let entry = plan.mode(j.task_idx, mode);
-        j.key = j.release + entry.dispatch;
-        j.budget = entry.budget;
-    }
 }
 
 #[cfg(test)]
@@ -773,6 +951,93 @@ mod tests {
         // 0.5·50 ms per 100 ms period → utilization 0.25.
         assert!((m.utilization() - 0.25).abs() < 0.01);
         assert_eq!(m.lc_completed, 100);
+    }
+
+    #[test]
+    fn events_stay_within_the_derived_bound() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let gen_cfg = mc_task::generate::GeneratorConfig::default();
+        let mut sets = vec![
+            schedulable_set(),
+            TaskSet::from_tasks(vec![hc(0, 20, 100, 200), hc(1, 10, 20, 30)]).unwrap(),
+        ];
+        for u in [0.6, 0.9, 1.2] {
+            let mut ts = mc_task::generate::generate_mixed_taskset(u, &gen_cfg, &mut rng).unwrap();
+            for t in ts.hc_tasks_mut() {
+                t.set_c_lo(t.c_hi().mul_f64(0.4).max(Duration::from_nanos(1)))
+                    .unwrap();
+            }
+            sets.push(ts);
+        }
+        let mut runs = 0;
+        for ts in &sets {
+            for model in [
+                JobExecModel::FullLoBudget,
+                JobExecModel::FullHiBudget,
+                JobExecModel::Profile,
+                JobExecModel::OverrunWithProbability(0.3),
+            ] {
+                for lc_policy in [LcPolicy::DropAll, LcPolicy::Degrade(0.5)] {
+                    for mode_switch in [
+                        ModeSwitchPolicy::System,
+                        ModeSwitchPolicy::TaskLevelThenSystem,
+                    ] {
+                        for jitter_ms in [0, 5] {
+                            let c = SimConfig {
+                                lc_policy,
+                                mode_switch,
+                                release_jitter: Duration::from_millis(jitter_ms),
+                                horizon: Duration::from_secs(2),
+                                ..cfg(model)
+                            };
+                            let plan = dual_plan(ts, &c);
+                            let r = run(&plan, &c).unwrap();
+                            // At most L + 1 = 3 events per release, plus one.
+                            assert!(r.events <= 1 + 3 * r.releases, "{c:?}");
+                            assert!(r.events <= event_bound(&plan, c.horizon).unwrap());
+                            let m = &r.levels;
+                            let admitted: u64 = m.released_per_level.iter().sum();
+                            assert_eq!(r.releases, admitted + m.releases_rejected);
+                            runs += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(runs, 5 * 4 * 2 * 2 * 2);
+    }
+
+    #[test]
+    fn the_event_bound_scales_with_the_release_rate() {
+        let ts = TaskSet::from_tasks(vec![hc(0, 1, 2, 10), lc(1, 1, 4)]).unwrap();
+        let c = cfg(JobExecModel::FullLoBudget);
+        // 10 s: 1000 + 2500 releases, three events each, plus the horizon.
+        assert_eq!(event_bound(&dual_plan(&ts, &c), c.horizon), Some(10_501));
+        // 10⁴ tasks of 1 ms over 10 s: 10⁸ releases, which the old fixed
+        // bound of 10⁷ events refused.
+        let ts = TaskSet::from_tasks((0..10_000).map(|i| lc(i, 1, 1)).collect()).unwrap();
+        assert_eq!(
+            event_bound(&dual_plan(&ts, &c), c.horizon),
+            Some(300_000_001)
+        );
+    }
+
+    #[test]
+    fn a_run_whose_event_count_overflows_is_refused_up_front() {
+        // A 1 ns period over the longest horizon: ~1.8·10¹⁹ releases, so
+        // the bound overflows and the run stops before its first event.
+        let ts = TaskSet::from_tasks(vec![McTask::builder(TaskId::new(0))
+            .period(Duration::from_nanos(1))
+            .c_lo(Duration::from_nanos(1))
+            .build()
+            .unwrap()])
+        .unwrap();
+        let mut c = cfg(JobExecModel::FullLoBudget);
+        c.horizon = Duration::MAX;
+        assert!(matches!(
+            simulate(&ts, &c),
+            Err(SchedError::SimulationDiverged)
+        ));
     }
 
     mod properties {

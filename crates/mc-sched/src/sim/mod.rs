@@ -21,6 +21,15 @@
 //! One event loop runs this model for any number `L` of criticality
 //! levels (the paper's §VI extension): [`simulate`] runs a dual-criticality
 //! `TaskSet` as `L = 2`, [`simulate_multi`] an L-level `MultiTaskSet`.
+//!
+//! The loop orders its work with three heaps rather than scanning every
+//! task and job per event: each task's next release, the EDF ready queue
+//! and the pending deadlines. A task's deadline lies within its period, so
+//! it has at most one pending job, which a per-task slot finds in O(1).
+//! A run takes at most `L + 1` events per release plus one, so its event
+//! bound is derived from the horizon and the periods rather than fixed.
+//! Each run adds its counts to the `mc-obs` counters `sched.sim_events`
+//! and `sched.sim_releases`.
 
 mod engine;
 mod exec_model;

@@ -31,6 +31,13 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Read buffer of one connection: a worker's whole batch of `Record`
+/// frames (up to 64 KiB) fits, since the records one read brings in are
+/// committed together. A smaller buffer splits each batch over several
+/// fsyncs, and a coordinator slowed by its disk then falls behind instead
+/// of folding the records that arrived meanwhile into its next commit.
+const READ_BUFFER: usize = 64 * 1024;
+
 /// Opens (or resumes) the checkpoint store for an accepted campaign. The
 /// CLI maps specs to files; the in-process cluster harness hands out
 /// simulated disks.
@@ -288,7 +295,7 @@ impl Inner {
         let Ok(read_half) = stream.try_clone() else {
             return;
         };
-        let mut reader = BufReader::new(read_half);
+        let mut reader = BufReader::with_capacity(READ_BUFFER, read_half);
         let mut worker_id: Option<u64> = None;
         let mut records = Vec::new();
         loop {

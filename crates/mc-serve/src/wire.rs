@@ -91,14 +91,25 @@ pub enum Message {
 ///
 /// Serialization or socket failures.
 pub fn write_frame(w: &mut dyn Write, msg: &Message) -> Result<(), ServeError> {
+    let mut frame = Vec::new();
+    encode_frame(msg, &mut frame)?;
+    w.write_all(&frame)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Appends one frame to `out`: the bytes [`write_frame`] would write.
+///
+/// # Errors
+///
+/// Serialization failures.
+pub(crate) fn encode_frame(msg: &Message, out: &mut Vec<u8>) -> Result<(), ServeError> {
     let json = serde_json::to_string(msg)
         .map_err(|e| ServeError::Protocol(format!("message serialization failed: {e}")))?;
-    let mut frame = json.len().to_string();
-    frame.push('\n');
-    frame.push_str(&json);
-    frame.push('\n');
-    w.write_all(frame.as_bytes())?;
-    w.flush()?;
+    out.extend_from_slice(json.len().to_string().as_bytes());
+    out.push(b'\n');
+    out.extend_from_slice(json.as_bytes());
+    out.push(b'\n');
     Ok(())
 }
 

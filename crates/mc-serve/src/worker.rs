@@ -10,14 +10,14 @@
 //! simulated-death record counter.
 
 use crate::stop::StopFlag;
-use crate::wire::{read_frame, write_frame, Message};
+use crate::wire::{encode_frame, read_frame, write_frame, Message};
 use crate::ServeError;
 use mc_exp::run::Shard;
 use mc_exp::spec::WorkUnit;
 use mc_exp::store::UnitRecord;
 use mc_exp::{CampaignSpec, ExpError, UnitRunner};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -331,56 +331,142 @@ enum LeaseEnd {
     Died,
 }
 
-/// Shared streaming state: records flush to the coordinator in unit
-/// order (out-of-order completions park, exactly like the runner's store
-/// sink), which makes the simulated-death prefix deterministic.
-struct StreamSink<'a> {
-    writer: &'a Mutex<TcpStream>,
+/// The sink writes its buffered records once this long has passed since
+/// its last write. A unit slower than this goes out the moment it
+/// completes; a run of fast units shares one write, where one write per
+/// record would wake the coordinator's reader for each. A fast record can
+/// wait for the next completion, which at worst costs a recomputation
+/// if the worker dies meanwhile.
+const FLUSH_INTERVAL: Duration = Duration::from_millis(1);
+
+/// The sink also writes once its buffer holds this many bytes, so a burst
+/// of fast records never waits long or grows the buffer without bound.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// A connection the sink writes to and, for the simulated-death knob,
+/// slams shut.
+trait Link: Write {
+    /// Shuts the connection down in both directions.
+    fn sever(&mut self);
+}
+
+impl Link for TcpStream {
+    fn sever(&mut self) {
+        let _ = self.shutdown(Shutdown::Both);
+    }
+}
+
+/// Shared streaming state: records go to the coordinator in unit order
+/// (out-of-order completions park, exactly like the runner's store sink),
+/// which makes the simulated-death prefix deterministic. In-order frames
+/// collect in one buffer, written per [`FLUSH_INTERVAL`] and
+/// [`FLUSH_BYTES`], and always before `LeaseDone`, before the death knob
+/// fires and when the lease ends. The bytes on the wire are those of one
+/// [`write_frame`] per message.
+struct StreamSink<'a, W> {
+    writer: &'a Mutex<W>,
     lease: u64,
     next: usize,
     parked: BTreeMap<usize, UnitRecord>,
+    /// Encoded frames not yet written, and how many records they hold.
+    buf: Vec<u8>,
+    buffered: u64,
+    last_write: Instant,
     sent: u64,
     die_after: Option<u64>,
     sent_total: u64,
     end: Option<LeaseEnd>,
 }
 
-impl StreamSink<'_> {
-    /// Accepts the `pos`-th pending unit's record; flushes everything now
-    /// in order. `false` stops the pool.
+impl<'a, W: Link> StreamSink<'a, W> {
+    fn new(writer: &'a Mutex<W>, lease: u64, die_after: Option<u64>, sent_total: u64) -> Self {
+        StreamSink {
+            writer,
+            lease,
+            next: 0,
+            parked: BTreeMap::new(),
+            buf: Vec::new(),
+            buffered: 0,
+            last_write: Instant::now(),
+            sent: 0,
+            die_after,
+            sent_total,
+            end: None,
+        }
+    }
+
+    /// Accepts the `pos`-th pending unit's record and buffers everything
+    /// now in order. `false` stops the pool.
     fn complete(&mut self, pos: usize, record: UnitRecord) -> bool {
+        if self.end.is_some() {
+            return false;
+        }
         self.parked.insert(pos, record);
         while let Some(record) = self.parked.remove(&self.next) {
             if let Some(limit) = self.die_after {
-                if self.sent_total >= limit {
-                    // Simulated SIGKILL: no goodbye, no flush — slam the
-                    // socket mid-protocol.
-                    let w = self.writer.lock().expect("writer poisoned");
-                    let _ = w.shutdown(Shutdown::Both);
-                    self.end = Some(LeaseEnd::Died);
+                if self.sent_total + self.buffered >= limit {
+                    // Simulated SIGKILL: deliver what is buffered, then
+                    // slam the socket mid-protocol with no goodbye.
+                    if self.write_out() {
+                        self.writer.lock().expect("writer poisoned").sever();
+                        self.end = Some(LeaseEnd::Died);
+                    }
                     return false;
                 }
             }
-            let mut w = self.writer.lock().expect("writer poisoned");
-            if write_frame(
-                &mut *w,
-                &Message::Record {
-                    lease: self.lease,
-                    record,
-                },
-            )
-            .is_err()
-            {
+            let frame = Message::Record {
+                lease: self.lease,
+                record,
+            };
+            if encode_frame(&frame, &mut self.buf).is_err() {
                 self.end = Some(LeaseEnd::Disconnected);
                 return false;
             }
-            drop(w);
-            mc_obs::counter("serve.sent", 1);
-            self.sent += 1;
-            self.sent_total += 1;
+            self.buffered += 1;
             self.next += 1;
         }
+        if self.last_write.elapsed() >= FLUSH_INTERVAL || self.buf.len() >= FLUSH_BYTES {
+            return self.write_out();
+        }
         true
+    }
+
+    /// Writes the buffer to the connection; `false` when that fails.
+    fn write_out(&mut self) -> bool {
+        if !self.buf.is_empty() {
+            let mut w = self.writer.lock().expect("writer poisoned");
+            let written = w.write_all(&self.buf).and_then(|()| w.flush());
+            drop(w);
+            if written.is_err() {
+                self.end = Some(LeaseEnd::Disconnected);
+                return false;
+            }
+            mc_obs::counter("serve.sent", self.buffered);
+            self.sent += self.buffered;
+            self.sent_total += self.buffered;
+            self.buffered = 0;
+            self.buf.clear();
+        }
+        self.last_write = Instant::now();
+        true
+    }
+
+    /// Ends the lease: writes what is still buffered, followed by
+    /// `LeaseDone` when every pending unit was streamed.
+    fn finish(&mut self, streamed: bool) -> LeaseEnd {
+        if let Some(end) = self.end.take() {
+            return end;
+        }
+        if streamed
+            && encode_frame(&Message::LeaseDone { lease: self.lease }, &mut self.buf).is_err()
+        {
+            return LeaseEnd::Disconnected;
+        }
+        if self.write_out() {
+            LeaseEnd::Streamed
+        } else {
+            LeaseEnd::Disconnected
+        }
     }
 }
 
@@ -407,16 +493,12 @@ fn run_lease(
     let inner_threads = inner.get();
     let pool = mc_par::WorkerPool::new(outer);
 
-    let sink = Mutex::new(StreamSink {
-        writer,
+    let sink = Mutex::new(StreamSink::new(
+        &**writer,
         lease,
-        next: 0,
-        parked: BTreeMap::new(),
-        sent: 0,
-        die_after: cfg.die_after_records,
-        sent_total: *sent_total,
-        end: None,
-    });
+        cfg.die_after_records,
+        *sent_total,
+    ));
     let error: Mutex<Option<ExpError>> = Mutex::new(None);
 
     pool.for_each_while(pending.len(), |pos| {
@@ -443,25 +525,125 @@ fn run_lease(
         }
     });
 
-    if let Some(e) = error.into_inner().expect("error poisoned") {
-        return Err(ServeError::Exp(e));
-    }
-    let sink = sink.into_inner().expect("sink poisoned");
+    let error = error.into_inner().expect("error poisoned");
+    let mut sink = sink.into_inner().expect("sink poisoned");
+    let end = sink.finish(error.is_none());
     summary.records += sink.sent;
     *sent_total = sink.sent_total;
-    if let Some(end) = sink.end {
-        return Ok(end);
+    match error {
+        Some(e) => Err(ServeError::Exp(e)),
+        None => Ok(end),
     }
-    let mut w = writer.lock().expect("writer poisoned");
-    if write_frame(&mut *w, &Message::LeaseDone { lease }).is_err() {
-        return Ok(LeaseEnd::Disconnected);
-    }
-    Ok(LeaseEnd::Streamed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc_exp::store::Metric;
+
+    /// An in-memory connection that counts its writes.
+    #[derive(Default)]
+    struct Recorder {
+        bytes: Vec<u8>,
+        writes: usize,
+        severed: bool,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Link for Recorder {
+        fn sever(&mut self) {
+            self.severed = true;
+        }
+    }
+
+    fn record(unit: usize) -> UnitRecord {
+        UnitRecord {
+            unit,
+            point: unit / 4,
+            replica: unit % 4,
+            seed: 1000 + unit as u64,
+            metrics: vec![Metric::new("objective", unit as f64 / 3.0)],
+        }
+    }
+
+    /// What one `write_frame` per message puts on the wire.
+    fn framed(messages: &[Message]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for msg in messages {
+            write_frame(&mut out, msg).unwrap();
+        }
+        out
+    }
+
+    fn records(lease: u64, units: std::ops::Range<usize>) -> Vec<Message> {
+        units
+            .map(|u| Message::Record {
+                lease,
+                record: record(u),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fast_records_share_writes_and_keep_the_frame_bytes() {
+        let conn = Mutex::new(Recorder::default());
+        let mut sink = StreamSink::new(&conn, 7, None, 0);
+        // Out of order: the sink parks unit 1 until unit 0 arrives.
+        assert!(sink.complete(1, record(1)));
+        assert!(sink.complete(0, record(0)));
+        for pos in 2..200 {
+            assert!(sink.complete(pos, record(pos)));
+        }
+        assert!(matches!(sink.finish(true), LeaseEnd::Streamed));
+        assert_eq!(sink.sent, 200);
+        let conn = conn.into_inner().unwrap();
+        assert!(conn.writes < 200, "{} writes for 200 records", conn.writes);
+        let mut expected = records(7, 0..200);
+        expected.push(Message::LeaseDone { lease: 7 });
+        assert_eq!(
+            conn.bytes,
+            framed(&expected),
+            "LeaseDone follows the last record"
+        );
+    }
+
+    #[test]
+    fn a_slow_record_goes_out_at_once() {
+        let conn = Mutex::new(Recorder::default());
+        let mut sink = StreamSink::new(&conn, 0, None, 0);
+        std::thread::sleep(FLUSH_INTERVAL);
+        assert!(sink.complete(0, record(0)));
+        assert_eq!(conn.lock().unwrap().bytes, framed(&records(0, 0..1)));
+    }
+
+    #[test]
+    fn the_death_knob_delivers_exactly_its_records() {
+        for (before, limit) in [(0, 3), (2, 5), (0, 0)] {
+            let conn = Mutex::new(Recorder::default());
+            let mut sink = StreamSink::new(&conn, 1, Some(limit), before);
+            let mut pos = 0;
+            while sink.complete(pos, record(pos)) {
+                pos += 1;
+            }
+            assert!(matches!(sink.finish(true), LeaseEnd::Died));
+            assert_eq!(sink.sent_total, limit);
+            let conn = conn.into_inner().unwrap();
+            assert!(conn.severed);
+            let k = usize::try_from(limit - before).unwrap();
+            assert_eq!(conn.bytes, framed(&records(1, 0..k)), "{before}/{limit}");
+        }
+    }
 
     #[test]
     fn addr_sources_resolve() {

@@ -131,6 +131,17 @@ impl ExecutionProfile {
         Ok(self)
     }
 
+    /// Re-checks what [`ExecutionProfile::new`] and
+    /// [`ExecutionProfile::with_weibull`] enforce, for a profile that
+    /// arrived by deserialisation rather than through them.
+    pub(crate) fn validate(&self) -> Result<(), TaskError> {
+        let checked = ExecutionProfile::new(self.acet, self.sigma, self.wcet_pes)?;
+        match self.weibull {
+            Some(fit) => checked.with_weibull(fit).map(drop),
+            None => Ok(()),
+        }
+    }
+
     /// The fitted Weibull execution-time law, if the profile carries one.
     pub fn weibull(&self) -> Option<&WeibullFit> {
         self.weibull.as_ref()
@@ -287,6 +298,48 @@ mod tests {
         ];
         for b in bad {
             assert!(p.with_weibull(b).is_err(), "{b:?} should be rejected");
+        }
+    }
+
+    #[test]
+    fn validate_rechecks_the_constructor_invariants() {
+        let fit = WeibullFit {
+            location: 190.0,
+            shape: 0.7,
+            scale: 2_000.0,
+        };
+        let good = ExecutionProfile::new(1_000.0, 300.0, 30_000.0)
+            .unwrap()
+            .with_weibull(fit)
+            .unwrap();
+        assert!(good.validate().is_ok());
+        let bad = [
+            ExecutionProfile {
+                sigma: -300.0,
+                ..good
+            },
+            ExecutionProfile {
+                acet: f64::NAN,
+                ..good
+            },
+            ExecutionProfile {
+                acet: 40_000.0,
+                ..good
+            },
+            ExecutionProfile {
+                weibull: Some(WeibullFit { shape: 0.0, ..fit }),
+                ..good
+            },
+            ExecutionProfile {
+                weibull: Some(WeibullFit { shape: -0.7, ..fit }),
+                ..good
+            },
+        ];
+        for p in bad {
+            assert!(
+                matches!(p.validate(), Err(TaskError::InvalidProfile { .. })),
+                "{p:?} should be rejected"
+            );
         }
     }
 

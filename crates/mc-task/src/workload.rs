@@ -28,8 +28,10 @@ impl McTask {
     /// # Errors
     ///
     /// Returns the same errors [`crate::task::McTaskBuilder::build`] would,
-    /// and [`TaskError::LcBudgetIsFixed`] for an LC task whose `c_hi`
-    /// differs from its `c_lo`.
+    /// [`TaskError::InvalidProfile`] for a profile that
+    /// [`ExecutionProfile::new`](crate::profile::ExecutionProfile::new) or
+    /// `with_weibull` would refuse, and [`TaskError::LcBudgetIsFixed`] for
+    /// an LC task whose `c_hi` differs from its `c_lo`.
     pub fn validate(&self) -> Result<(), TaskError> {
         // The builder sets an LC task's C_HI to its C_LO, so it cannot
         // see a deserialised LC task whose two budgets disagree.
@@ -46,6 +48,9 @@ impl McTask {
             builder = builder.c_hi(self.c_hi());
         }
         if let Some(p) = self.profile() {
+            // The builder checks only the profile's fit to C_HI; its own
+            // invariants are the profile constructors'.
+            p.validate()?;
             builder = builder.profile(*p);
         }
         let rebuilt = builder.build()?;
@@ -168,6 +173,27 @@ mod tests {
             Workload::load_json(&evil),
             Err(TaskError::LcBudgetIsFixed { .. })
         ));
+    }
+
+    #[test]
+    fn hand_edited_profiles_are_rejected() {
+        let json = sample().to_json().unwrap();
+        let weibull = "\"weibull\": {\"location\": 1.0e6, \"shape\": 0.0, \"scale\": 1.0e6}";
+        for (from, to) in [
+            ("\"sigma\": 1000000.0", "\"sigma\": -1000000.0"),
+            ("\"acet\": 3000000.0", "\"acet\": 50000000.0"),
+            ("\"weibull\": null", weibull),
+        ] {
+            let evil = json.replacen(from, to, 1);
+            assert_ne!(evil, json, "{from} not found in {json}");
+            assert!(
+                matches!(
+                    Workload::load_json(&evil),
+                    Err(TaskError::InvalidProfile { .. })
+                ),
+                "{to} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn image_kernel_wcet_is_the_hand_computed_value() {
     let p = parse_program(&src).unwrap();
     // init + rows(65 headers) + 64 · (cols: 65 headers · 2 + 64·(2+180)) + commit.
     let per_row = 65 * 2 + 64 * (2 + 180);
-    assert_eq!(p.wcet(), 120 + 65 * 4 + 64 * per_row + 40);
+    assert_eq!(p.wcet(), Ok(120 + 65 * 4 + 64 * per_row + 40));
 }
 
 #[test]

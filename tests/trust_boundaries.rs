@@ -7,12 +7,14 @@
 //! with its reproducing seed; a stack overflow aborts the test binary.
 
 use chebymc::exec::parse::parse_program;
+use chebymc::exec::wcet::analyze;
 use chebymc::exp::catalog::{self, CatalogOptions};
 use chebymc::exp::{run_campaign, Metric, RunConfig, Store, UnitRecord};
 use chebymc::fault::{assert_prop, FaultRng, PropConfig};
 use chebymc::lint::source_pass::Allowlist;
 use chebymc::serve::{read_frame, Message};
 use chebymc::task::workload::Workload;
+use chebymc::task::TaskError;
 
 /// One raw edit: a kind, a position and an argument. Every triple maps to
 /// a valid edit, so shrinking an edit list never leaves the domain.
@@ -122,6 +124,18 @@ fn workload_json_fails_cleanly() {
 }
 
 #[test]
+fn hand_edited_profiles_are_refused() {
+    let fixture = include_str!("../fixtures/automotive_u070_seed1.json");
+    assert!(Workload::load_json(fixture).is_ok());
+    let evil = fixture.replacen("\"sigma\": ", "\"sigma\": -", 1);
+    assert_ne!(evil, fixture);
+    assert!(matches!(
+        Workload::load_json(&evil),
+        Err(TaskError::InvalidProfile { .. })
+    ));
+}
+
+#[test]
 fn store_files_fail_cleanly() {
     let tiny = CatalogOptions {
         samples: Some(200),
@@ -166,7 +180,9 @@ fn prog_sources_fail_cleanly() {
         |edits| {
             for fixture in fixtures {
                 let mutated = mutate(fixture.as_bytes(), edits, b"loop l 1 bound=1 {");
-                let _ = parse_program(&text(&mutated));
+                if let Ok(program) = parse_program(&text(&mutated)) {
+                    let _ = analyze(&program);
+                }
             }
             Ok(())
         },
