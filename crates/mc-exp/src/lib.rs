@@ -21,9 +21,10 @@
 //!   shard's pending units, dispatches them over an [`mc_par::WorkerPool`]
 //!   with a [`mc_par::ThreadBudget`] split between units and inner GA
 //!   parallelism, and flushes records to the store *in session order* so
-//!   an uninterrupted store is byte-identical across thread counts. The
-//!   lane that finds no commit in flight commits every ready record in
-//!   one batch while the others keep computing.
+//!   an uninterrupted store is byte-identical across thread counts. One
+//!   committer thread per session owns the store and commits each
+//!   contiguous run of ready records with one fsync, so the compute lanes
+//!   never wait on the disk.
 //! * [`fault`] — deterministic crash-schedule sweeps: the store driven
 //!   through seed-derived crash/resume/merge interleavings on a simulated
 //!   disk (`mc_fault::SimDisk`), one record or one seed-sized batch per

@@ -8,16 +8,18 @@
 //! predecessors are written — so an uninterrupted single-shard store is
 //! byte-identical across thread counts, and any interrupted, resumed, or
 //! sharded history converges to the same [`Store::canonical_lines`].
-//! Flushes are group commits ([`Store::append_batch`]): whichever pool
-//! lane finds no commit in flight commits every ready record with one
-//! fsync while the other lanes keep computing.
+//! Flushes are group commits ([`Store::append_batch`]) made by one
+//! committer thread per session. The committer owns the store: it waits
+//! until the next record in session order arrives, then commits every
+//! contiguous ready record with one fsync. The compute lanes only park
+//! their records, so none of them ever waits on a write or an fsync.
 
 use crate::progress::Progress;
 use crate::spec::{CampaignSpec, WorkUnit};
 use crate::store::{Metric, Store, UnitRecord};
 use crate::ExpError;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One shard of a campaign: this process runs the units whose index is
@@ -75,8 +77,10 @@ impl std::fmt::Display for Shard {
 /// Run-time knobs of one campaign session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunConfig {
-    /// Total thread budget (`0` = all available cores), split between the
-    /// unit fan-out and each unit's inner parallelism.
+    /// Compute lanes: the thread budget (`0` = all available cores),
+    /// split between the unit fan-out and each unit's inner parallelism.
+    /// The session's committer thread comes on top; it does no unit work
+    /// and spends its time in the store's writes and fsyncs.
     pub threads: usize,
     /// This process's shard.
     pub shard: Shard,
@@ -122,20 +126,26 @@ pub struct RunSummary {
     pub elapsed: Duration,
 }
 
-/// Shared completion state of one session. Units finish in any order;
-/// their records commit to the store in session order. The store itself
-/// is the committer's baton: a lane that finds it in the sink takes it,
-/// commits every contiguous ready record with one group commit outside
-/// the lock, and repeats until nothing is ready, so the other lanes keep
-/// computing through the fsync. A lane that finds the baton gone just
-/// parks its record for the committer.
-struct Sink<'a> {
-    /// The store, or `None` while a committer holds it.
-    store: Option<&'a mut Store>,
+/// Shared completion state of one session. Units finish in any order; a
+/// compute lane parks its record here and goes on computing. The
+/// committer, which owns the store, waits on `ready` until the record at
+/// `next` arrives, takes the contiguous run of ready records, and commits
+/// it with one group commit outside the lock.
+struct Sink {
+    state: Mutex<SinkState>,
+    /// Signalled when the record at `next` arrives or the sink closes.
+    ready: Condvar,
+}
+
+struct SinkState {
     /// Session position of the next record to commit.
     next: usize,
     /// Computed records waiting for their predecessors or the committer.
     pending: BTreeMap<usize, UnitRecord>,
+    /// Set once the lanes are done (or unwinding) or the committer has
+    /// stopped: the committer commits what is ready and exits, and lanes
+    /// park nothing more.
+    closed: bool,
     /// Per axis point, replicas not yet in the store.
     missing: Vec<usize>,
     /// Axis points with every replica in the store.
@@ -146,24 +156,91 @@ struct Sink<'a> {
     error: Option<ExpError>,
 }
 
-impl<'a> Sink<'a> {
-    fn new(store: &'a mut Store, spec: &CampaignSpec, progress: Progress) -> Self {
+impl Sink {
+    fn new(store: &Store, spec: &CampaignSpec, progress: Progress) -> Self {
         let mut missing = vec![0usize; spec.points.len()];
         for unit in (0..spec.total_units()).filter(|&u| !store.is_complete(u)) {
             missing[unit / spec.replicas] += 1;
         }
         Sink {
-            next: 0,
-            pending: BTreeMap::new(),
-            points_done: missing.iter().filter(|&&m| m == 0).count(),
-            missing,
-            store_completed: store.completed_count(),
-            store: Some(store),
-            progress,
-            error: None,
+            state: Mutex::new(SinkState {
+                next: 0,
+                pending: BTreeMap::new(),
+                closed: false,
+                points_done: missing.iter().filter(|&&m| m == 0).count(),
+                missing,
+                store_completed: store.completed_count(),
+                progress,
+                error: None,
+            }),
+            ready: Condvar::new(),
         }
     }
 
+    /// Locks the state, ignoring poisoning: a panic under the lock ends
+    /// the session, and the close on unwind must still get through.
+    fn lock(&self) -> MutexGuard<'_, SinkState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Parks the `session_pos`-th unit's record for the committer.
+    /// Returns `false` once the session should stop.
+    fn park(&self, session_pos: usize, record: UnitRecord) -> bool {
+        let mut st = self.lock();
+        if st.closed || st.error.is_some() {
+            return false;
+        }
+        st.pending.insert(session_pos, record);
+        if session_pos == st.next {
+            self.ready.notify_one();
+        }
+        true
+    }
+
+    /// Tells the committer to commit what is ready and stop.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Blocks until the record at `next` is ready, then takes the
+    /// contiguous ready run; `None` once the sink is closed and nothing
+    /// is ready.
+    fn wait_ready(&self) -> Option<Vec<UnitRecord>> {
+        let mut st = self.lock();
+        loop {
+            let batch = st.take_ready();
+            if !batch.is_empty() {
+                return Some(batch);
+            }
+            if st.closed {
+                return None;
+            }
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Commits `batch` with one group commit, outside the lock, and counts
+    /// it once its fsync has returned. Returns `false`, with the error
+    /// recorded, when the store failed.
+    fn commit(&self, store: &mut Store, batch: Vec<UnitRecord>) -> bool {
+        let before = store.records().len();
+        let result = store.append_batch(batch);
+        let mut st = self.lock();
+        match result {
+            Ok(()) => {
+                st.committed(&store.records()[before..]);
+                true
+            }
+            Err(e) => {
+                st.fail(e);
+                false
+            }
+        }
+    }
+}
+
+impl SinkState {
     /// Takes the contiguous run of ready records starting at `next`.
     fn take_ready(&mut self) -> Vec<UnitRecord> {
         let mut batch = Vec::new();
@@ -194,46 +271,44 @@ impl<'a> Sink<'a> {
     }
 }
 
-/// Accepts the `session_pos`-th unit's record and, unless a commit is
-/// already in flight, commits every record that is now in order. Returns
-/// `false` once the session should stop.
-fn complete(sink: &Mutex<Sink<'_>>, session_pos: usize, record: UnitRecord) -> bool {
-    let mut st = sink.lock().expect("sink poisoned");
-    st.pending.insert(session_pos, record);
-    loop {
-        if st.error.is_some() {
-            return false;
+/// Closes the sink when dropped, also on unwind: a panicking unit must
+/// not leave the committer waiting, and a panicking committer must stop
+/// the lanes.
+struct CloseOnDrop<'a>(&'a Sink);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The session's committer: commits ready records in session order until
+/// the sink closes and nothing is ready, or the store fails.
+fn commit_loop(sink: &Sink, store: &mut Store) {
+    let _close = CloseOnDrop(sink);
+    while let Some(batch) = sink.wait_ready() {
+        if !sink.commit(store, batch) {
+            return;
         }
-        let Some(store) = st.store.take() else {
-            return true; // the committer in flight picks this record up
-        };
-        let batch = st.take_ready();
-        if batch.is_empty() {
-            st.store = Some(store);
-            return true;
-        }
-        drop(st);
-        let before = store.records().len();
-        let result = store.append_batch(batch);
-        st = sink.lock().expect("sink poisoned");
-        match result {
-            Ok(()) => st.committed(&store.records()[before..]),
-            Err(e) => st.fail(e),
-        }
-        st.store = Some(store);
     }
 }
 
 /// Runs (this shard of) a campaign: lints the spec, skips units the store
-/// already holds, computes the rest on a worker pool, and group-commits
-/// records in session order, counting a unit done only once the fsync
-/// covering it returns. At one thread every unit is its own commit.
+/// already holds, computes the rest on a worker pool, and hands each
+/// record to the session's committer thread, which group-commits the
+/// records in session order. A unit counts as done only once the fsync
+/// covering it returns.
 ///
 /// # Errors
 ///
 /// Lint errors ([`ExpError::Lint`]) before any work starts; otherwise the
 /// first unit or store failure, after which completed units remain
 /// persisted for a later resume.
+///
+/// # Panics
+///
+/// A panic in a unit or in the committer is resumed on the caller, after
+/// the committer has stopped.
 pub fn run_campaign(
     spec: &CampaignSpec,
     runner: &dyn UnitRunner,
@@ -272,30 +347,42 @@ pub fn run_campaign(
     let pool = mc_par::WorkerPool::new(outer);
 
     let progress = Progress::new(cfg.progress, total_units, spec.points.len(), session.len());
-    let sink = Mutex::new(Sink::new(store, spec, progress));
+    let sink = Sink::new(store, spec, progress);
 
-    pool.for_each_while(session.len(), |pos| {
-        let unit = session[pos];
-        let _unit_span = mc_obs::span("exp.unit");
-        match runner.run_unit(&unit, inner_threads) {
-            Ok(metrics) => {
-                let record = UnitRecord {
-                    unit: unit.index,
-                    point: unit.point,
-                    replica: unit.replica,
-                    seed: unit.seed,
-                    metrics,
-                };
-                complete(&sink, pos, record)
-            }
-            Err(e) => {
-                sink.lock().expect("sink poisoned").fail(e);
-                false
-            }
+    std::thread::scope(|scope| {
+        let committer = scope.spawn(|| commit_loop(&sink, store));
+        {
+            let _close = CloseOnDrop(&sink);
+            pool.for_each_while(session.len(), |pos| {
+                let unit = session[pos];
+                let _unit_span = mc_obs::span("exp.unit");
+                match runner.run_unit(&unit, inner_threads) {
+                    Ok(metrics) => sink.park(
+                        pos,
+                        UnitRecord {
+                            unit: unit.index,
+                            point: unit.point,
+                            replica: unit.replica,
+                            seed: unit.seed,
+                            metrics,
+                        },
+                    ),
+                    Err(e) => {
+                        sink.lock().fail(e);
+                        false
+                    }
+                }
+            });
+        }
+        if let Err(panic) = committer.join() {
+            std::panic::resume_unwind(panic);
         }
     });
 
-    let sink = sink.into_inner().expect("sink poisoned");
+    let sink = sink
+        .state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     let ran = sink.next;
     if let Some(e) = sink.error {
         return Err(e);
@@ -392,29 +479,142 @@ mod tests {
             seed_runner(unit, inner)
         };
         let s = spec(4, 10);
-        let mut reference: Option<Vec<u8>> = None;
+        let (reference, _) = commits_and_bytes(&s, &skewed, 1, None);
         for threads in [1, 2, 4, 8] {
-            let disk = mc_fault::SimDisk::new();
-            let (mut store, _) =
-                Store::create_or_resume_io(Box::new(disk.open()), "<skewed>", &s).unwrap();
-            let syncs_before = disk.stats().syncs;
+            let (bytes, commits) = commits_and_bytes(&s, &skewed, threads, None);
+            assert!((1..=40).contains(&commits), "threads {threads}: {commits}");
+            assert!(
+                bytes == reference,
+                "threads {threads} changed the store bytes"
+            );
+        }
+
+        // A slow fsync: the one compute lane runs ahead of the committer,
+        // which then takes several records per commit.
+        let (bytes, commits) = commits_and_bytes(&s, &seed_runner, 1, Some(SyncMode::Slow));
+        assert!((1..40).contains(&commits), "{commits} commits for 40 units");
+        assert!(bytes == reference, "batching changed the store bytes");
+    }
+
+    /// How a [`TestIo`] treats the fsyncs after the header's.
+    #[derive(Debug, Clone, Copy)]
+    enum SyncMode {
+        /// Each takes 2 ms.
+        Slow,
+        /// Each fails.
+        Fail,
+        /// The first one panics.
+        Panic,
+    }
+
+    /// A [`StoreIo`](mc_fault::StoreIo) over a simulated disk whose record
+    /// fsyncs behave as `mode` says.
+    #[derive(Debug)]
+    struct TestIo {
+        file: mc_fault::SimFile,
+        mode: SyncMode,
+        syncs: usize,
+    }
+
+    impl mc_fault::StoreIo for TestIo {
+        fn read_to_end(&mut self, buf: &mut Vec<u8>) -> std::io::Result<()> {
+            self.file.read_to_end(buf)
+        }
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            self.file.write_all(buf)
+        }
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            self.syncs += 1;
+            if self.syncs > 1 {
+                match self.mode {
+                    SyncMode::Slow => std::thread::sleep(Duration::from_millis(2)),
+                    SyncMode::Fail => return Err(std::io::Error::other("disk full")),
+                    SyncMode::Panic => panic!("fsync exploded"),
+                }
+            }
+            self.file.sync_data()
+        }
+        fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+            self.file.truncate(len)
+        }
+    }
+
+    /// A fresh store on a simulated disk, through [`TestIo`] when `mode`
+    /// is given.
+    fn sim_store(s: &CampaignSpec, mode: Option<SyncMode>) -> (Store, mc_fault::SimDisk) {
+        let disk = mc_fault::SimDisk::new();
+        let io: Box<dyn mc_fault::StoreIo> = match mode {
+            Some(mode) => Box::new(TestIo {
+                file: disk.open(),
+                mode,
+                syncs: 0,
+            }),
+            None => Box::new(disk.open()),
+        };
+        let (store, _) = Store::create_or_resume_io(io, "<sim>", s).unwrap();
+        (store, disk)
+    }
+
+    /// Runs every unit of `s` into a fresh simulated disk; returns the
+    /// durable bytes and the number of commits (fsyncs after the header).
+    fn commits_and_bytes(
+        s: &CampaignSpec,
+        runner: &dyn UnitRunner,
+        threads: usize,
+        mode: Option<SyncMode>,
+    ) -> (Vec<u8>, u64) {
+        let (mut store, disk) = sim_store(s, mode);
+        let syncs_before = disk.stats().syncs;
+        let cfg = RunConfig {
+            threads,
+            ..RunConfig::default()
+        };
+        let summary = run_campaign(s, runner, &mut store, &cfg).unwrap();
+        assert_eq!(summary.ran, s.total_units(), "threads {threads}");
+        (disk.durable(), disk.stats().syncs - syncs_before)
+    }
+
+    #[test]
+    fn a_store_error_stops_the_lanes_and_is_returned() {
+        let s = spec(4, 50);
+        let calls = AtomicUsize::new(0);
+        let slow = |unit: &WorkUnit, inner: usize| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(1));
+            seed_runner(unit, inner)
+        };
+        for threads in [1, 2] {
+            calls.store(0, Ordering::Relaxed);
+            let (mut store, _) = sim_store(&s, Some(SyncMode::Fail));
             let cfg = RunConfig {
                 threads,
                 ..RunConfig::default()
             };
-            let summary = run_campaign(&s, &skewed, &mut store, &cfg).unwrap();
-            assert_eq!(summary.ran, 40, "threads {threads}");
-            let commits = disk.stats().syncs - syncs_before;
-            if threads == 1 {
-                assert_eq!(commits, 40, "one fsync per unit at one thread");
-            } else {
-                assert!((1..=40).contains(&commits), "threads {threads}: {commits}");
-            }
-            let bytes = disk.durable();
-            match &reference {
-                None => reference = Some(bytes),
-                Some(r) => assert!(&bytes == r, "threads {threads} changed the store bytes"),
-            }
+            let err = run_campaign(&s, &slow, &mut store, &cfg).unwrap_err();
+            assert!(err.to_string().contains("disk full"), "{err}");
+            assert_eq!(store.completed_count(), 0);
+            let ran = calls.load(Ordering::Relaxed);
+            assert!(
+                ran < 200,
+                "threads {threads}: {ran} units ran after the error"
+            );
+        }
+    }
+
+    #[test]
+    fn a_committer_panic_is_resumed_on_the_caller() {
+        let s = spec(2, 4);
+        for threads in [1, 2] {
+            let (mut store, _) = sim_store(&s, Some(SyncMode::Panic));
+            let cfg = RunConfig {
+                threads,
+                ..RunConfig::default()
+            };
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_campaign(&s, &seed_runner, &mut store, &cfg)
+            }))
+            .unwrap_err();
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&"fsync exploded"));
         }
     }
 
@@ -439,16 +639,16 @@ mod tests {
             .map(|u| s.unit(u))
             .collect();
         let progress = Progress::new(false, 12, 3, session.len());
-        let sink = Mutex::new(Sink::new(&mut store, &s, progress));
-        let check = |sink: &Mutex<Sink<'_>>| {
-            let st = sink.lock().unwrap();
-            let store = st.store.as_deref().unwrap();
+        let sink = Sink::new(&store, &s, progress);
+        let check = |sink: &Sink, store: &Store| {
+            let st = sink.lock();
             let rescan = crate::accounting::points_complete(&s, |u| store.is_complete(u));
             assert_eq!(st.points_done, rescan);
             assert_eq!(st.store_completed, store.completed_count());
         };
-        check(&sink);
-        // Out of order: some completions park, others release a batch.
+        check(&sink, &store);
+        // Out of order: some completions park, others release a batch,
+        // which the committer's step commits.
         for pos in [2, 0, 1, 5, 3, 6, 4] {
             let u = session[pos];
             let record = UnitRecord {
@@ -458,10 +658,16 @@ mod tests {
                 seed: u.seed,
                 metrics: seed_runner(&u, 1).unwrap(),
             };
-            assert!(complete(&sink, pos, record));
-            check(&sink);
+            assert!(sink.park(pos, record));
+            let batch = sink.lock().take_ready();
+            if !batch.is_empty() {
+                assert!(sink.commit(&mut store, batch));
+            }
+            check(&sink, &store);
         }
-        let st = sink.into_inner().unwrap();
+        sink.close();
+        assert!(sink.wait_ready().is_none(), "a closed, drained sink");
+        let st = sink.state.into_inner().unwrap();
         assert_eq!((st.next, st.points_done), (7, 3));
     }
 

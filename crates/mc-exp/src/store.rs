@@ -414,6 +414,9 @@ impl Store {
             io.sync_data().map_err(|e| label_io_err(label, e))?;
             if let Some(t0) = t0 {
                 mc_obs::record_f64("store.fsync_ns", mc_obs::now_ns().saturating_sub(t0) as f64);
+                // How many records this fsync made durable.
+                mc_obs::counter("store.records", batch.len() as u64);
+                mc_obs::record_f64("store.batch_records", batch.len() as f64);
             }
         }
         for record in batch.drain(..) {

@@ -25,6 +25,8 @@
 //!
 //! Work is distributed by an atomic chunk cursor (dynamic self-scheduling),
 //! which balances uneven per-index cost without affecting results.
+//! [`WorkerPool::for_each_while`], the dispatch for coarse campaign
+//! units, claims one index at a time.
 //!
 //! # Example
 //!
@@ -412,10 +414,14 @@ impl WorkerPool {
     where
         F: Fn(usize) + Sync,
     {
-        self.for_each_dyn(count, &f);
+        // Several chunks per lane so uneven per-index cost still balances.
+        let chunk = (count / (4 * self.threads())).max(1);
+        self.for_each_dyn(count, chunk, &f);
     }
 
-    fn for_each_dyn(&self, count: usize, f: &(dyn Fn(usize) + Sync)) {
+    /// Runs `f` over `0..count`, each lane claiming `chunk` indices at a
+    /// time.
+    fn for_each_dyn(&self, count: usize, chunk: usize, f: &(dyn Fn(usize) + Sync)) {
         if count == 0 {
             return;
         }
@@ -433,8 +439,6 @@ impl WorkerPool {
             return;
         }
         let _dispatch = lock(&self.run_lock);
-        // Several chunks per lane so uneven per-index cost still balances.
-        let chunk = (count / (4 * self.threads())).max(1);
         // SAFETY: only the lifetime is erased; the pointer is dropped from
         // `State` before this frame returns (see the wait loop below).
         let ptr = FnPtr(unsafe {
@@ -478,11 +482,15 @@ impl WorkerPool {
 
     /// Like [`WorkerPool::for_each`], but `f` returns a *continue* flag:
     /// returning `false` requests cancellation. Indices already claimed
-    /// keep running to completion; unclaimed chunks are skipped. Whether
+    /// keep running to completion; unclaimed indices are skipped. Whether
     /// trailing indices run after a `false` depends on thread timing, so
     /// this is only for abandoning work whose results no longer matter
     /// (a failed campaign unit, say) — never for results that feed later
     /// computation.
+    ///
+    /// Lanes claim one index at a time: this is the dispatch for coarse
+    /// work (campaign units of microseconds or more), where a chunk of
+    /// costly indices would leave the other lanes idle.
     ///
     /// Returns `true` when every index ran without any cancellation
     /// request, `false` when at least one call returned `false`.
@@ -491,7 +499,7 @@ impl WorkerPool {
         F: Fn(usize) -> bool + Sync,
     {
         let stop = AtomicBool::new(false);
-        self.for_each(count, |i| {
+        self.for_each_dyn(count, 1, &|i| {
             if !stop.load(Ordering::Relaxed) && !f(i) {
                 stop.store(true, Ordering::Relaxed);
             }
@@ -663,6 +671,25 @@ mod tests {
                 ran.load(Ordering::Relaxed)
             );
         }
+    }
+
+    #[test]
+    fn for_each_while_spreads_costly_head_indices_over_the_lanes() {
+        // Indices 0–7 cost 5 ms each; a chunk of 64 / (4·2) = 8 would hand
+        // all of them to one lane.
+        let pool = WorkerPool::new(2);
+        let lanes: Vec<Mutex<Option<std::thread::ThreadId>>> =
+            (0..64).map(|_| Mutex::new(None)).collect();
+        pool.for_each_while(lanes.len(), |i| {
+            if i < 8 {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            *lock(&lanes[i]) = Some(std::thread::current().id());
+            true
+        });
+        let head: std::collections::HashSet<_> =
+            lanes[..8].iter().map(|lane| lock(lane).unwrap()).collect();
+        assert_eq!(head.len(), 2, "indices 0-7 all ran on one lane");
     }
 
     #[test]
