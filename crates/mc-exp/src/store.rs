@@ -381,7 +381,12 @@ impl Store {
 
     /// The group commit behind [`Store::append_batch`] and
     /// [`Store::append_dedup`]; drains `batch` into the store on success.
+    /// An empty batch (say, a redelivery that was all duplicates) writes
+    /// nothing and costs no fsync.
     fn commit(&mut self, batch: &mut Vec<UnitRecord>) -> Result<(), ExpError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
         let _append_span = mc_obs::span("store.append");
         let label = &self.label;
         let mut units = BTreeSet::new();
@@ -949,6 +954,22 @@ mod tests {
         let err = store.append_dedup(&mut batch).unwrap_err();
         assert!(err.to_string().contains("conflicting records"), "{err}");
         assert!(!store.is_complete(3));
+    }
+
+    #[test]
+    fn an_all_duplicate_batch_costs_no_write_or_fsync() {
+        let s = spec();
+        let disk = mc_fault::SimDisk::new();
+        let (mut store, _) =
+            Store::create_or_resume_io(Box::new(disk.open()), "<dedup>", &s).unwrap();
+        store.append(record(&s, 0, 0.1)).unwrap();
+        let (before, bytes) = (disk.stats(), disk.durable());
+        let mut batch = vec![record(&s, 0, 0.1), record(&s, 0, 0.1)];
+        assert_eq!(store.append_dedup(&mut batch).unwrap(), 0);
+        assert_eq!(disk.stats().syncs, before.syncs);
+        assert_eq!(disk.stats().writes, before.writes);
+        assert_eq!(disk.durable(), bytes);
+        assert_eq!(store.completed_count(), 1);
     }
 
     #[test]

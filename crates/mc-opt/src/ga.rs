@@ -56,12 +56,20 @@ impl GeneBounds {
     ///
     /// Returns [`OptError::InvalidConfig`] on violation.
     pub fn new(lo: f64, hi: f64) -> Result<Self, OptError> {
-        if !lo.is_finite() || !hi.is_finite() || lo > hi {
+        let bounds = GeneBounds { lo, hi };
+        bounds.validate()?;
+        Ok(bounds)
+    }
+
+    /// The checks of [`GeneBounds::new`], for bounds built another way
+    /// (a struct literal or deserialization).
+    fn validate(&self) -> Result<(), OptError> {
+        if !self.lo.is_finite() || !self.hi.is_finite() || self.lo > self.hi {
             return Err(OptError::InvalidConfig {
                 reason: "gene bounds must be finite with lo <= hi",
             });
         }
-        Ok(GeneBounds { lo, hi })
+        Ok(())
     }
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
@@ -72,8 +80,16 @@ impl GeneBounds {
         }
     }
 
+    /// `f64::clamp` without its per-call `lo <= hi` assert, which
+    /// [`run_ga`] checks once per run: the same comparisons in the same
+    /// order, so NaN stays NaN and a signed zero keeps its sign.
     fn clamp(&self, x: f64) -> f64 {
-        x.clamp(self.lo, self.hi)
+        let x = if x < self.lo { self.lo } else { x };
+        if x > self.hi {
+            self.hi
+        } else {
+            x
+        }
     }
 }
 
@@ -292,7 +308,8 @@ pub(crate) trait EvalBackend {
 ///
 /// # Errors
 ///
-/// Returns [`OptError::InvalidConfig`] for invalid hyper-parameters and
+/// Returns [`OptError::InvalidConfig`] for invalid hyper-parameters or a
+/// bound that is not finite with `lo <= hi`, and
 /// [`OptError::EmptyChromosome`] when `bounds` is empty.
 ///
 /// # Example
@@ -346,6 +363,9 @@ pub(crate) fn run_ga<B: EvalBackend>(
     if bounds.is_empty() {
         return Err(OptError::EmptyChromosome);
     }
+    for b in bounds {
+        b.validate()?;
+    }
     let _run_span = mc_obs::span("ga.run");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let genes = bounds.len();
@@ -361,7 +381,7 @@ pub(crate) fn run_ga<B: EvalBackend>(
     // Overflow slot: the last pair's second child when the remaining room
     // is odd. It is bred (and consumes RNG draws) but never admitted.
     let mut spare = vec![0.0f64; genes];
-    let mut order: Vec<usize> = Vec::with_capacity(pop_n);
+    let mut elite: Vec<usize> = Vec::with_capacity(cfg.elitism);
     // Provenance of each `next` slot, for the incremental backend.
     let mut prov = vec![Provenance::child_of(0); pop_n];
     let mut stats = EvalStats::default();
@@ -404,25 +424,10 @@ pub(crate) fn run_ga<B: EvalBackend>(
         mc_obs::value("ga.gen_mean", sum / pop_n as f64);
 
         // Elitism: carry the top individuals over unchanged, scores
-        // included. `select_nth_unstable_by` partitions the top `elitism`
-        // in O(n) instead of sorting the whole population; ties break by
-        // index so the elite set (and its order, restored by the small
-        // sort below) matches a stable full descending sort.
+        // included.
         let elites = cfg.elitism;
-        order.clear();
-        order.extend(0..pop_n);
-        // `total_cmp` keeps the ordering well-defined even for NaN: the
-        // sanitize pass makes NaN unreachable today, but an ordering that
-        // can panic is the wrong place to rely on that invariant.
-        let by_score_desc =
-            |&a: &usize, &b: &usize| scores[b].total_cmp(&scores[a]).then(a.cmp(&b));
-        if elites > 0 {
-            if elites < pop_n {
-                order.select_nth_unstable_by(elites - 1, by_score_desc);
-            }
-            order[..elites].sort_unstable_by(by_score_desc);
-        }
-        for (slot, &i) in order[..elites].iter().enumerate() {
+        top_k(&scores, elites, &mut elite);
+        for (slot, &i) in elite.iter().enumerate() {
             next.genome_mut(slot).copy_from_slice(pop.genome(i));
             next_scores[slot] = scores[i];
             prov[slot] = Provenance::child_of(i);
@@ -957,40 +962,64 @@ impl EvalBackend for IncrementalBackend<'_> {
     }
 }
 
+/// Writes into `top` the indices of the `k` best scores, best first:
+/// descending under `total_cmp` (so even NaN has a place), ties broken by
+/// the lower index. That is the first `k` entries of a stable descending
+/// sort, found in one pass over `scores` with an insertion into `top`.
+fn top_k(scores: &[f64], k: usize, top: &mut Vec<usize>) {
+    top.clear();
+    if k == 0 {
+        return;
+    }
+    for (i, s) in scores.iter().enumerate() {
+        if top.len() == k {
+            // A later index must beat the last kept one strictly.
+            if s.total_cmp(&scores[top[k - 1]]).is_le() {
+                continue;
+            }
+            top.pop();
+        }
+        let at = top.partition_point(|&j| scores[j].total_cmp(s).is_ge());
+        top.insert(at, i);
+    }
+}
+
 /// Tournament selection: the fittest of `k` uniformly drawn individuals.
+/// A challenger wins only with a strictly higher score, so ties (and NaN)
+/// keep the earlier draw; the pick is a select, not a data-dependent
+/// branch.
 fn tournament<R: Rng + ?Sized>(scores: &[f64], k: usize, rng: &mut R) -> usize {
     let mut winner = rng.random_range(0..scores.len());
+    let mut best = scores[winner];
     for _ in 1..k {
         let challenger = rng.random_range(0..scores.len());
-        if scores[challenger] > scores[winner] {
-            winner = challenger;
-        }
+        let score = scores[challenger];
+        let wins = score > best;
+        winner = std::hint::select_unpredictable(wins, challenger, winner);
+        best = std::hint::select_unpredictable(wins, score, best);
     }
     winner
 }
 
 /// Two-point crossover: swaps the segment between two cut points and
 /// returns the inclusive `(lo, hi)` span that was exchanged.
-/// Degenerates to a full swap for single-gene chromosomes.
+/// Degenerates to a full swap, drawing nothing, for single-gene
+/// chromosomes.
 fn two_point_crossover<R: Rng + ?Sized>(
     a: &mut [f64],
     b: &mut [f64],
     rng: &mut R,
 ) -> (usize, usize) {
     let n = a.len();
-    if n == 1 {
-        std::mem::swap(&mut a[0], &mut b[0]);
-        return (0, 0);
-    }
-    let mut p1 = rng.random_range(0..n);
-    let mut p2 = rng.random_range(0..n);
-    if p1 > p2 {
-        std::mem::swap(&mut p1, &mut p2);
-    }
-    for i in p1..=p2 {
-        std::mem::swap(&mut a[i], &mut b[i]);
-    }
-    (p1, p2)
+    let (lo, hi) = if n == 1 {
+        (0, 0)
+    } else {
+        let p1 = rng.random_range(0..n);
+        let p2 = rng.random_range(0..n);
+        (p1.min(p2), p1.max(p2))
+    };
+    a[lo..=hi].swap_with_slice(&mut b[lo..=hi]);
+    (lo, hi)
 }
 
 #[cfg(test)]
@@ -1259,6 +1288,141 @@ mod tests {
         .unwrap();
         assert!(r.best[0] >= 0.5);
         assert!(r.best_fitness.is_finite());
+    }
+
+    #[test]
+    fn a_bad_bound_is_an_error_not_a_panic() {
+        let good = GeneBounds::new(0.0, 1.0).unwrap();
+        let inverted: GeneBounds = serde_json::from_str(r#"{"lo":1.0,"hi":0.0}"#).unwrap();
+        for bad in [
+            inverted,
+            GeneBounds {
+                lo: f64::NAN,
+                hi: 1.0,
+            },
+            GeneBounds {
+                lo: 0.0,
+                hi: f64::INFINITY,
+            },
+        ] {
+            let r = optimize(&[good, bad], |c| c.iter().sum(), &GaConfig::default());
+            assert!(
+                matches!(r, Err(OptError::InvalidConfig { .. })),
+                "{bad:?}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn clamp_matches_f64_clamp_bit_for_bit() {
+        let special = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            1e-300,
+            -1e-300,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut xs = special.to_vec();
+        xs.extend((0..64).map(|_| rng.random_range(-2.0..2.0)));
+        let ends: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
+        for &lo in &ends {
+            for &hi in ends.iter().filter(|&&hi| lo <= hi) {
+                let b = GeneBounds::new(lo, hi).unwrap();
+                for &x in &xs {
+                    assert_eq!(
+                        b.clamp(x).to_bits(),
+                        x.clamp(lo, hi).to_bits(),
+                        "clamp({x:?}) to [{lo:?}, {hi:?}]"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Scores drawn half from a small pool, so ties are common, with the
+    /// values an ordering must place: ±0.0, ±∞ and NaN of either sign.
+    fn random_scores(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        const POOL: [f64; 10] = [
+            0.0,
+            -0.0,
+            0.25,
+            0.5,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            0.75,
+        ];
+        (0..n)
+            .map(|_| {
+                if rng.random::<f64>() < 0.5 {
+                    POOL[rng.random_range(0..POOL.len())]
+                } else {
+                    rng.random::<f64>()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn top_k_matches_a_stable_descending_sort() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut top = Vec::new();
+        for case in 0..2000 {
+            let n = rng.random_range(1..70);
+            let scores = random_scores(&mut rng, n);
+            let mut sorted: Vec<usize> = (0..n).collect();
+            sorted.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
+            for k in [0, 1, 2, n / 2, n - 1, n].into_iter().filter(|&k| k <= n) {
+                top_k(&scores, k, &mut top);
+                assert_eq!(top, sorted[..k], "case {case}, k {k}: {scores:?}");
+            }
+        }
+    }
+
+    /// The selection loop as it was before the best score moved into a
+    /// local: it re-reads the winner's score and branches per challenger.
+    fn branching_tournament(scores: &[f64], k: usize, rng: &mut StdRng) -> usize {
+        let mut winner = rng.random_range(0..scores.len());
+        for _ in 1..k {
+            let challenger = rng.random_range(0..scores.len());
+            if scores[challenger] > scores[winner] {
+                winner = challenger;
+            }
+        }
+        winner
+    }
+
+    #[test]
+    fn tournament_matches_the_branching_loop_on_one_stream() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for case in 0..500 {
+            let n = rng.random_range(1..70);
+            let scores = random_scores(&mut rng, n);
+            let k = rng.random_range(1..=n.min(8));
+            let seed = rng.random::<u64>();
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            for draw in 0..20 {
+                assert_eq!(
+                    tournament(&scores, k, &mut a),
+                    branching_tournament(&scores, k, &mut b),
+                    "case {case}, draw {draw}: {scores:?}"
+                );
+            }
+            assert_eq!(a.random::<u64>(), b.random::<u64>(), "case {case}");
+        }
     }
 
     #[test]

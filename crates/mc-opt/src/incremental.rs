@@ -20,11 +20,11 @@
 //!   and `1.0 × x` are exact); beyond that, regrouping shifts results by
 //!   at most the usual last-ulp reassociation noise.
 //! * [`ObjectiveCache::eval_delta`] re-derives a child's value from its
-//!   parent's stored block partials: candidate blocks (the crossover
-//!   range and the mutated gene) are compared bitwise against the parent
-//!   and only differing blocks are re-folded. Identical-by-construction
-//!   to a full evaluation, and cross-checked by a debug-mode shadow
-//!   full recompute.
+//!   parent's stored block partials: the candidate genes (the crossover
+//!   span and the mutated gene) are compared bitwise against the parent
+//!   and each block holding a differing one is re-folded once.
+//!   Identical-by-construction to a full evaluation, and cross-checked by
+//!   a debug-mode shadow full recompute.
 //! * [`FlatPopulation`] is the strided SoA genome buffer shared with the
 //!   GA, and [`ObjectiveCache::objective_batch`] evaluates a whole
 //!   population against it in one contiguous pass (optionally fanned out
@@ -268,6 +268,7 @@ impl ObjectiveCache {
     /// Folds block `b` of `genome`. Pure in the block's genes: the result
     /// never depends on other blocks, which is what makes per-block
     /// patching sound.
+    #[inline]
     fn eval_block(&self, b: usize, genome: &[f64]) -> Block {
         let range = self.block_range(b);
         let start = range.start;
@@ -300,6 +301,7 @@ impl ObjectiveCache {
     /// `1.0 × x` are exact, so seeding the fold with the identities and
     /// then folding per-block partials reproduces the flat loop bit for
     /// bit.
+    #[inline]
     pub fn combine(&self, blocks: &[Block]) -> ObjectiveValue {
         assert_eq!(blocks.len(), self.n_blocks());
         let mut u_hc_lo = 0.0;
@@ -345,28 +347,18 @@ impl ObjectiveCache {
         value
     }
 
-    /// Bitwise-compares one block's genes between child and parent.
-    /// `to_bits` equality is exact and NaN-safe — a NaN gene always reads
-    /// as "differs", which errs toward recomputation, never toward a
-    /// stale carry.
-    fn block_differs(&self, b: usize, child: &[f64], parent: &[f64]) -> bool {
-        let range = self.block_range(b);
-        child[range.clone()]
-            .iter()
-            .zip(&parent[range])
-            .any(|(c, p)| c.to_bits() != p.to_bits())
-    }
-
     /// Derives a child's objective from its parent's block partials.
     ///
-    /// `child` may differ from `parent` only inside the candidate ranges:
-    /// the inclusive `crossover` gene span and the `mutated` gene (this is
+    /// `child` may differ from `parent` only at the candidate genes: the
+    /// inclusive `crossover` gene span and the `mutated` gene (this is
     /// exactly what the GA's variation operators guarantee — clamping is
     /// the identity on already-in-bounds genes). The parent's partials are
-    /// copied into `child_blocks`, candidate blocks that differ bitwise
-    /// are re-folded, and the partials are re-combined. By block purity
-    /// this is bit-identical to a full evaluation; debug builds assert it
-    /// against a shadow full recompute.
+    /// copied into `child_blocks`, the candidate genes are compared
+    /// bitwise (`to_bits`, so the compare is exact and never panics), each
+    /// block holding a differing one is re-folded once, and the partials
+    /// are re-combined. By block purity this is bit-identical to a full
+    /// evaluation; debug builds assert it against a shadow full
+    /// recompute.
     ///
     /// Returns [`DeltaEval::value`]` = None` when nothing differed: the
     /// child is bitwise the parent, and the parent's score carries over.
@@ -374,6 +366,7 @@ impl ObjectiveCache {
     /// # Panics
     ///
     /// Panics on dimension mismatches or out-of-range candidate indices.
+    #[inline]
     pub fn eval_delta(
         &self,
         child: &[f64],
@@ -383,32 +376,43 @@ impl ObjectiveCache {
         crossover: Option<(usize, usize)>,
         mutated: Option<usize>,
     ) -> DeltaEval {
-        assert_eq!(child.len(), self.dimension());
-        assert_eq!(parent.len(), self.dimension());
+        let dim = self.dimension();
+        assert_eq!(child.len(), dim);
+        assert_eq!(parent.len(), dim);
         child_blocks.copy_from_slice(parent_blocks);
+        let differs = |g: usize| child[g].to_bits() != parent[g].to_bits();
         let mut blocks_recomputed = 0u32;
         let mut genes_recomputed = 0u32;
-        let x_blocks = crossover.map(|(lo, hi)| {
-            assert!(lo <= hi && hi < self.dimension());
-            (lo / BLOCK_LEN, hi / BLOCK_LEN)
-        });
-        let mut patch = |b: usize, out: &mut [Block]| {
-            if self.block_differs(b, child, parent) {
-                out[b] = self.eval_block(b, child);
-                blocks_recomputed += 1;
-                genes_recomputed += self.block_range(b).len() as u32;
-            }
+        // The first and last blocks re-folded for the span: a mutated gene
+        // outside the span shares a block with it only at its ends.
+        let mut folded = (usize::MAX, usize::MAX);
+        let mut refold = |b: usize| {
+            child_blocks[b] = self.eval_block(b, child);
+            blocks_recomputed += 1;
+            genes_recomputed += self.block_range(b).len() as u32;
         };
-        if let Some((b0, b1)) = x_blocks {
-            for b in b0..=b1 {
-                patch(b, child_blocks);
+        let span = crossover.map(|(lo, hi)| {
+            assert!(lo <= hi && hi < dim);
+            let mut g = lo;
+            while g <= hi {
+                if differs(g) {
+                    let b = g / BLOCK_LEN;
+                    refold(b);
+                    folded = (folded.0.min(b), b);
+                    g = (b + 1) * BLOCK_LEN;
+                } else {
+                    g += 1;
+                }
             }
-        }
+            lo..=hi
+        });
         if let Some(g) = mutated {
-            assert!(g < self.dimension());
-            let bm = g / BLOCK_LEN;
-            if x_blocks.is_none_or(|(b0, b1)| bm < b0 || bm > b1) {
-                patch(bm, child_blocks);
+            assert!(g < dim);
+            let b = g / BLOCK_LEN;
+            let covered =
+                span.is_some_and(|span| span.contains(&g)) || b == folded.0 || b == folded.1;
+            if !covered && differs(g) {
+                refold(b);
             }
         }
         let value = if blocks_recomputed > 0 {

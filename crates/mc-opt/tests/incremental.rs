@@ -6,7 +6,7 @@
 //! task sets) and compare every path against a from-scratch evaluation.
 
 use mc_opt::ga::{optimize, optimize_with_stats, GaConfig, GeneBounds};
-use mc_opt::incremental::{optimize_incremental, Block, FlatPopulation, ObjectiveCache};
+use mc_opt::incremental::{optimize_incremental, Block, FlatPopulation, ObjectiveCache, BLOCK_LEN};
 use mc_opt::problem::HcTaskParams;
 use mc_opt::ObjectiveValue;
 use mc_par::WorkerPool;
@@ -48,37 +48,59 @@ fn random_cache(rng: &mut StdRng, n: usize) -> ObjectiveCache {
     ObjectiveCache::new(&tasks, u_hc_hi)
 }
 
-/// Random GA-shaped variation: an optional crossover span and an optional
-/// single mutated gene, with new values drawn from a range that straddles
-/// the feasibility threshold so infeasible children occur regularly.
+/// Random GA-shaped variation: an optional crossover span (now and then
+/// starting or ending on a block boundary) and an optional single mutated
+/// gene (now and then just outside the span), with new values drawn from
+/// a range that straddles the feasibility threshold so infeasible
+/// children occur regularly.
 fn vary(rng: &mut StdRng, parent: &[f64]) -> (Vec<f64>, Option<(usize, usize)>, Option<usize>) {
     let n = parent.len();
     let mut child = parent.to_vec();
-    let crossover = if rng.random::<f64>() < 0.8 {
+    // Sometimes the "mate" carries the identical gene value.
+    let draw = |rng: &mut StdRng, x: &mut f64| {
+        if rng.random::<f64>() < 0.8 {
+            *x = rng.random_range(-1.0..60.0);
+        }
+    };
+    let crossover = (rng.random::<f64>() < 0.8).then(|| {
         let (mut lo, mut hi) = (rng.random_range(0..n), rng.random_range(0..n));
         if lo > hi {
             std::mem::swap(&mut lo, &mut hi);
         }
+        match rng.random_range(0..4) {
+            0 => lo -= lo % BLOCK_LEN,
+            1 => hi = (hi | (BLOCK_LEN - 1)).min(n - 1),
+            _ => {}
+        }
         for x in &mut child[lo..=hi] {
-            // Sometimes the "mate" carries the identical gene value.
-            if rng.random::<f64>() < 0.8 {
-                *x = rng.random_range(-1.0..60.0);
-            }
+            draw(rng, x);
         }
-        Some((lo, hi))
-    } else {
-        None
-    };
-    let mutated = if rng.random::<f64>() < 0.5 {
-        let g = rng.random_range(0..n);
-        if rng.random::<f64>() < 0.8 {
-            child[g] = rng.random_range(-1.0..60.0);
-        }
-        Some(g)
-    } else {
-        None
-    };
+        (lo, hi)
+    });
+    let mutated = (rng.random::<f64>() < 0.5).then(|| {
+        let g = match crossover {
+            Some((lo, _)) if lo > 0 && rng.random::<f64>() < 0.25 => lo - 1,
+            Some((_, hi)) if hi + 1 < n && rng.random::<f64>() < 0.25 => hi + 1,
+            _ => rng.random_range(0..n),
+        };
+        draw(rng, &mut child[g]);
+        g
+    });
     (child, crossover, mutated)
+}
+
+/// The blocks in which `child` differs bitwise from `parent`, and the
+/// genes they hold.
+fn changed_blocks(child: &[f64], parent: &[f64]) -> (u32, u32) {
+    let differs =
+        |b: &(&[f64], &[f64])| b.0.iter().zip(b.1).any(|(c, p)| c.to_bits() != p.to_bits());
+    child
+        .chunks(BLOCK_LEN)
+        .zip(parent.chunks(BLOCK_LEN))
+        .filter(differs)
+        .fold((0, 0), |(blocks, genes), (c, _)| {
+            (blocks + 1, genes + c.len() as u32)
+        })
 }
 
 #[test]
@@ -124,6 +146,15 @@ fn random_mutation_sequences_are_bit_identical_to_full_recomputation() {
             );
             // The patched partials are a valid basis for the next delta.
             assert!(bits_eq(cache.combine(&child_blocks), reference));
+            // Exactly the blocks that differ anywhere were re-folded, once
+            // each, so `EvalStats` count the same work as a whole-block
+            // compare would.
+            let (blocks, genes) = changed_blocks(&child, &parent);
+            assert_eq!(
+                (d.blocks_recomputed, d.genes_recomputed),
+                (blocks, genes),
+                "dim {dim} step {step}: span {crossover:?}, mutated {mutated:?}"
+            );
             parent = child;
             std::mem::swap(&mut parent_blocks, &mut child_blocks);
             parent_value = value;

@@ -141,6 +141,7 @@ pub fn analyze(ts: &TaskSet) -> EdfVdAnalysis {
 /// the switch, and [`conditions_hold`] refuses every `U_LC^LO ≥ 1 − ε`.
 /// The bound is then the largest `U_LC^LO` that `conditions_hold` accepts,
 /// found by bisection, so the two functions agree on every input.
+#[inline]
 pub fn max_u_lc_lo(u_hc_lo: f64, u_hc_hi: f64) -> f64 {
     if u_hc_hi > 1.0 + EPS || u_hc_lo > 1.0 + EPS || u_hc_lo > u_hc_hi + EPS {
         return 0.0;

@@ -38,6 +38,7 @@ use crate::{ensure_non_negative, ensure_positive, Result, StatsError};
 /// assert_eq!(one_sided_bound(2.0), 0.2);
 /// assert_eq!(one_sided_bound(3.0), 0.1);
 /// ```
+#[inline]
 pub fn one_sided_bound(n: f64) -> f64 {
     try_one_sided_bound(n).expect("chebyshev factor must be non-negative and finite")
 }
@@ -47,6 +48,7 @@ pub fn one_sided_bound(n: f64) -> f64 {
 /// # Errors
 ///
 /// Returns an error when `n` is negative, NaN or infinite.
+#[inline]
 pub fn try_one_sided_bound(n: f64) -> Result<f64> {
     ensure_non_negative("chebyshev factor n", n)?;
     Ok(1.0 / (1.0 + n * n))

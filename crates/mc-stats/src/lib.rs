@@ -100,6 +100,7 @@ impl Error for StatsError {}
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StatsError>;
 
+#[inline]
 pub(crate) fn ensure_finite(what: &'static str, value: f64) -> Result<f64> {
     if value.is_finite() {
         Ok(value)
@@ -121,6 +122,7 @@ pub(crate) fn ensure_positive(what: &'static str, value: f64) -> Result<f64> {
     }
 }
 
+#[inline]
 pub(crate) fn ensure_non_negative(what: &'static str, value: f64) -> Result<f64> {
     ensure_finite(what, value)?;
     if value >= 0.0 {
