@@ -1,10 +1,8 @@
 //! Per-point aggregation and CSV export.
 //!
 //! Aggregation sums each metric over a point's replicas *in replica
-//! order* before dividing — the same f64 summation order the in-process
-//! batch pipeline uses — so a campaign mean is bit-identical to the
-//! [`chebymc_core::pipeline::evaluate_policy_over_utilization`] numbers
-//! when the runner follows the same seed contract.
+//! order* before dividing, so a campaign mean is bit-identical whatever
+//! order the units ran in, on any thread count, shard split or worker.
 
 use crate::spec::{CampaignSpec, Param};
 use crate::store::{Metric, UnitRecord};

@@ -12,19 +12,16 @@
 //!
 //! * Set-based campaigns (`fig3`–`fig6`, `policy_arena`, `automotive`)
 //!   evaluate the `replica`-th set of utilisation index `u_index` at
-//!   `derive_set_seed(campaign_seed, u_index, replica)` — the seeds the
-//!   in-process [`evaluate_policy_over_utilization`] batch uses — shared by
-//!   every policy of the point. The comparison is paired, and per-point
-//!   means reproduce the batch numbers bit for bit. (The framework's
-//!   per-unit identity seed still follows the `hash(seed, point, replica)`
-//!   contract; a campaign point is *policy × utilisation* while the batch
-//!   pipeline's point is utilisation alone.)
+//!   `derive_set_seed(campaign_seed, u_index, replica)`, shared by every
+//!   policy of the utilisation, so the comparison is paired. (The
+//!   framework's per-unit identity seed still follows the
+//!   `hash(seed, point, replica)` contract; a campaign point is
+//!   *policy × utilisation*, while a task set depends on the utilisation
+//!   alone.)
 //! * Fixed-instance campaigns (the tables, `fig1`, `fig2`, the ablations,
 //!   `runtime`, `convergence*`, `multi_*`) pin the per-instance seeds of
 //!   the experiment they reproduce (Table II's trace of benchmark `i` is
 //!   sampled at seed `200 + i`, for example) and run one replica per point.
-//!
-//! [`evaluate_policy_over_utilization`]: chebymc_core::pipeline::evaluate_policy_over_utilization
 
 mod ablation;
 mod extension;

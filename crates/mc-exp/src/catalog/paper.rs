@@ -185,7 +185,7 @@ pub(super) fn fig2(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
 }
 
 /// Fig. 3: the design metrics of every uniform `n ∈ {0, …, 40}` as
-/// `U_HC^HI` varies (batch seed 3).
+/// `U_HC^HI` varies (campaign seed 3).
 pub(super) fn fig3(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
     let policies = (0..=40)
         .map(|n| WcetPolicy::ChebyshevUniform { n: f64::from(n) })
@@ -193,14 +193,14 @@ pub(super) fn fig3(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
     Ok(design_campaign("fig3", 3, policies, opts))
 }
 
-/// Fig. 4: the scheme against the λ-range policies (batch seed 4).
+/// Fig. 4: the scheme against the λ-range policies (campaign seed 4).
 pub(super) fn fig4(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
     let mut policies = vec![scheme()];
     policies.extend(paper_lambda_baselines());
     Ok(design_campaign("fig4", 4, policies, opts))
 }
 
-/// Fig. 5: the Eq. 13 objective of every policy (batch seed 5).
+/// Fig. 5: the Eq. 13 objective of every policy (campaign seed 5).
 pub(super) fn fig5(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
     Ok(design_campaign("fig5", 5, fig5_policies(), opts))
 }
@@ -246,7 +246,7 @@ fn design_campaign(
 /// Fig. 6: the acceptance ratio of Baruah et al. RTNS'12 (EDF-VD, LC
 /// tasks dropped in HI mode) and Liu et al. RTSS'16 (LC tasks degraded to
 /// 50 %), each as published and with the scheme re-deriving every `C_LO`,
-/// as the LO-mode bound utilisation grows (batch seed 6). Sets are
+/// as the LO-mode bound utilisation grows (campaign seed 6). Sets are
 /// generated with baseline budgets `C_LO = λᵢ·C_HI`, `λᵢ ∈ [1/4, 1]` (see
 /// [`admit_lo_bounded_one_set`]). Points are approach-major.
 pub(super) fn fig6(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
@@ -375,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn fig5_units_reproduce_the_legacy_batch_stream() {
+    fn fig5_units_evaluate_one_set_at_the_derived_seed() {
         // Tiny configuration: ACET policy only takes microseconds per set.
         let opts = CatalogOptions {
             sets: Some(3),

@@ -182,12 +182,13 @@ fn batch_mode(schedule_seed: u64) -> bool {
 }
 
 /// Runs one session: resume the store from the disk, verify every acked
-/// record replayed, then commit pending units until done or killed. With
-/// `batches`, each commit takes the next 1–5 pending units (sizes drawn
-/// from it); without, every unit is its own commit.
+/// record replayed, then commit the pending ones of `units` until done or
+/// killed. With `batches`, each commit takes the next 1–5 pending units
+/// (sizes drawn from it); without, every unit is its own commit.
 fn run_session(
     disk: &SimDisk,
     spec: &CampaignSpec,
+    units: &[usize],
     acked: &mut BTreeMap<usize, UnitRecord>,
     mut batches: Option<FaultRng>,
     report: &mut SweepReport,
@@ -213,7 +214,9 @@ fn run_session(
             None => return Session::Violated(format!("acked unit {unit} has no record")),
         }
     }
-    let pending: Vec<usize> = (0..spec.total_units())
+    let pending: Vec<usize> = units
+        .iter()
+        .copied()
         .filter(|&index| !store.is_complete(index))
         .collect();
     let mut rest = &pending[..];
@@ -255,6 +258,7 @@ pub fn check_campaign(
     report: &mut SweepReport,
 ) -> Result<(), Violation> {
     let spec = sweep_spec(schedule_seed);
+    let units: Vec<usize> = (0..spec.total_units()).collect();
     let disk = SimDisk::new();
     let mut acked: BTreeMap<usize, UnitRecord> = BTreeMap::new();
     let mut sabotaged = false;
@@ -275,7 +279,7 @@ pub fn check_campaign(
         disk.set_schedule(schedule);
         let batches = batch_mode(schedule_seed)
             .then(|| FaultRng::new(mix64(mix64(schedule_seed, BATCH_STREAM), cycle)));
-        let session = run_session(&disk, &spec, &mut acked, batches, report);
+        let session = run_session(&disk, &spec, &units, &mut acked, batches, report);
         report.cycles += 1;
         // End of session: crash (schedule) or clean process exit.
         let crashed = disk.is_crashed();
@@ -361,40 +365,7 @@ pub fn check_sharded_campaign(
             };
             disk.set_schedule(schedule);
             report.cycles += 1;
-            let io = Box::new(disk.open());
-            let session = match Store::create_or_resume_io(io, "<sim-shard>", &spec) {
-                Ok((mut store, _)) => {
-                    let mut outcome = Session::Completed;
-                    for &index in &shard_units {
-                        if acked.contains_key(&index) && !store.is_complete(index) {
-                            outcome = Session::Violated(format!(
-                                "acked unit {index} lost after shard resume"
-                            ));
-                            break;
-                        }
-                        if store.is_complete(index) {
-                            continue;
-                        }
-                        let rec = unit_record(&spec, index);
-                        match store.append(rec.clone()) {
-                            Ok(()) => {
-                                acked.insert(index, rec);
-                            }
-                            Err(crate::ExpError::Io { .. }) => {
-                                outcome = Session::Died;
-                                break;
-                            }
-                            Err(e) => {
-                                outcome = Session::Violated(format!("shard append failed: {e}"));
-                                break;
-                            }
-                        }
-                    }
-                    outcome
-                }
-                Err(crate::ExpError::Io { .. }) => Session::Died,
-                Err(e) => Session::Violated(format!("shard resume failed: {e}")),
-            };
+            let session = run_session(&disk, &spec, &shard_units, &mut acked, None, report);
             disk.recover();
             match session {
                 Session::Violated(detail) => return Err(violation(cycle, detail)),

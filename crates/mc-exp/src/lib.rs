@@ -34,8 +34,9 @@
 //!   per-shard progress) used by the runner, `chebymc exp status`, and
 //!   the mc-serve coordinator's lease table.
 //! * [`progress`] — the throttled stderr progress/ETA reporter.
-//! * [`aggregate`](mod@aggregate) — per-point means (in replica
-//!   order, the batch pipelines' f64 summation order) and CSV export.
+//! * [`aggregate`](mod@aggregate) — per-point means (summed in replica
+//!   order, so they do not depend on the run's thread count or sharding)
+//!   and CSV export.
 //! * [`catalog`] — the built-in campaign definitions: every table, figure
 //!   and ablation of the paper plus the policy arena and automotive
 //!   extensions, run by `chebymc exp` and `chebymc serve`.

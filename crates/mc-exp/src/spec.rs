@@ -97,8 +97,7 @@ pub struct WorkUnit {
 }
 
 /// Derives a work unit's seed from the campaign seed: SplitMix-style
-/// mixing of `(point, replica)`, shared with the in-process batch
-/// pipelines (see [`derive_set_seed`]).
+/// mixing of `(point, replica)` (see [`derive_set_seed`]).
 #[must_use]
 pub fn unit_seed(campaign_seed: u64, point: usize, replica: usize) -> u64 {
     derive_set_seed(campaign_seed, point, replica)

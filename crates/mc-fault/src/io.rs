@@ -5,7 +5,7 @@
 //! bytes durable, truncate — so the store can run unchanged against a
 //! real [`std::fs::File`] ([`RealFile`]) or against an in-memory
 //! [`SimDisk`] that injects faults from a seed-derived
-//! [`FaultSchedule`](crate::schedule::FaultSchedule).
+//! [`FaultSchedule`].
 //!
 //! The simulated disk distinguishes *durable* bytes (survived a
 //! successful sync) from the *unsynced tail* (written but still in the

@@ -10,11 +10,10 @@
 //!
 //! The inner loop is allocation-free and parallel:
 //!
-//! * The population lives in one flat strided
-//!   [`FlatPopulation`](crate::incremental::FlatPopulation) (individual
-//!   `i` occupies `[i·genes, (i+1)·genes)`), double-buffered across
-//!   generations — variation writes offspring straight into the back
-//!   buffer and the buffers swap, so no per-individual `Vec` is ever
+//! * The population lives in one flat strided [`FlatPopulation`]
+//!   (individual `i` occupies `[i·genes, (i+1)·genes)`), double-buffered
+//!   across generations — variation writes offspring straight into the
+//!   back buffer and the buffers swap, so no per-individual `Vec` is ever
 //!   cloned.
 //! * Fitness evaluation goes through a pluggable backend. The generic
 //!   closure backend memoises genome → fitness and fans misses out over a
@@ -113,17 +112,11 @@ pub struct GaConfig {
     /// Worker threads for fitness evaluation: `0` = all available cores,
     /// `1` = serial. A pure performance knob — results are bit-identical
     /// for any value because the RNG never leaves the serial variation
-    /// phase. Batch pipelines that already fan out over task sets force
-    /// this to their per-job [`mc_par::ThreadBudget`] (usually 1) so the
-    /// two layers never oversubscribe the machine.
+    /// phase. Campaign units, which already fan out over task sets, set
+    /// this to their share of the campaign's [`mc_par::ThreadBudget`]
+    /// (usually 1) so the two layers never oversubscribe the machine.
     #[serde(default)]
     pub threads: usize,
-    /// Disables the genome-keyed memo cache on the closure fitness path.
-    /// Another pure performance knob: memo hits return the bit-identical
-    /// value a fresh evaluation would (fitness functions are required to
-    /// be pure), so results never depend on this flag.
-    #[serde(default)]
-    pub disable_memo: bool,
     /// Per-generation evaluation work (`pending genomes × genes`) below
     /// which dispatch stays serial even on a multi-thread pool, because
     /// the work is cheaper than waking the workers. `0` disables the
@@ -147,7 +140,6 @@ impl Default for GaConfig {
             elitism: 2,
             seed: 0,
             threads: 0,
-            disable_memo: false,
             serial_eval_threshold: 8192,
         }
     }
@@ -347,7 +339,7 @@ where
     F: Fn(&[f64]) -> f64 + Sync,
 {
     let pool = WorkerPool::with_budget(ThreadBudget::explicit(cfg.threads));
-    let mut backend = ClosureBackend::new(&fitness, !cfg.disable_memo, cfg.serial_eval_threshold);
+    let mut backend = ClosureBackend::new(&fitness, cfg.serial_eval_threshold);
     run_ga(bounds, cfg, &pool, &mut backend)
 }
 
@@ -668,9 +660,6 @@ impl<V: Copy + Default> GenomeTable<V> {
 /// (table growth amortizes away once the cache warms up).
 struct ClosureBackend<'f, F> {
     fitness: &'f F,
-    /// Probe/fill the memo and batch tables. Off, every slot is freshly
-    /// evaluated (the memo-ablation mode).
-    use_memo: bool,
     serial_threshold: usize,
     /// Genome → fitness, persistent across generations.
     memo: GenomeTable<f64>,
@@ -690,10 +679,9 @@ struct ClosureBackend<'f, F> {
 }
 
 impl<'f, F> ClosureBackend<'f, F> {
-    fn new(fitness: &'f F, use_memo: bool, serial_threshold: usize) -> Self {
+    fn new(fitness: &'f F, serial_threshold: usize) -> Self {
         ClosureBackend {
             fitness,
-            use_memo,
             serial_threshold,
             memo: GenomeTable::new(),
             batch: GenomeTable::new(),
@@ -727,23 +715,19 @@ where
         self.pending.clear();
         self.pending_hashes.clear();
         self.dups.clear();
-        if self.use_memo {
-            self.batch.clear();
-            for (i, score) in scores.iter_mut().enumerate().skip(skip) {
-                let key = pop.genome(i);
-                let hash = hash_genome(key);
-                if let Some(cached) = self.memo.get(hash, key) {
-                    *score = cached;
-                } else if let Some(slot) = self.batch.get(hash, key) {
-                    self.dups.push((i, slot));
-                } else {
-                    self.batch.insert(hash, key, self.pending.len());
-                    self.pending_hashes.push(hash);
-                    self.pending.push(i);
-                }
+        self.batch.clear();
+        for (i, score) in scores.iter_mut().enumerate().skip(skip) {
+            let key = pop.genome(i);
+            let hash = hash_genome(key);
+            if let Some(cached) = self.memo.get(hash, key) {
+                *score = cached;
+            } else if let Some(slot) = self.batch.get(hash, key) {
+                self.dups.push((i, slot));
+            } else {
+                self.batch.insert(hash, key, self.pending.len());
+                self.pending_hashes.push(hash);
+                self.pending.push(i);
             }
-        } else {
-            self.pending.extend(skip..scores.len());
         }
         let considered = (scores.len() - skip) as u64;
         let misses = self.pending.len() as u64;
@@ -771,26 +755,20 @@ where
         } else {
             pool.fill(&mut self.pending_scores, score_of);
         }
-        if self.use_memo {
-            if self.memo.len() + self.pending.len() >= MEMO_CAPACITY {
-                self.memo.clear();
-            }
-            for ((&i, &hash), &s) in self
-                .pending
-                .iter()
-                .zip(&self.pending_hashes)
-                .zip(&self.pending_scores)
-            {
-                scores[i] = s;
-                self.memo.insert(hash, pop.genome(i), s);
-            }
-            for &(i, slot) in &self.dups {
-                scores[i] = self.pending_scores[slot];
-            }
-        } else {
-            for (&i, &s) in self.pending.iter().zip(&self.pending_scores) {
-                scores[i] = s;
-            }
+        if self.memo.len() + self.pending.len() >= MEMO_CAPACITY {
+            self.memo.clear();
+        }
+        for ((&i, &hash), &s) in self
+            .pending
+            .iter()
+            .zip(&self.pending_hashes)
+            .zip(&self.pending_scores)
+        {
+            scores[i] = s;
+            self.memo.insert(hash, pop.genome(i), s);
+        }
+        for &(i, slot) in &self.dups {
+            scores[i] = self.pending_scores[slot];
         }
     }
 }
@@ -1072,16 +1050,23 @@ mod tests {
 
     #[test]
     fn config_deserializes_without_new_knobs() {
-        // Configs serialized before the memo/serial knobs existed must keep
-        // their historical behaviour: memo on, fallback disabled.
+        // Configs serialized before the serial knob existed must keep their
+        // historical behaviour: fallback disabled.
         let cfg: GaConfig = serde_json::from_str(
             r#"{"population_size":64,"generations":80,"crossover_probability":0.8,
                 "mutation_probability":0.2,"tournament_size":5,"elitism":2,"seed":0}"#,
         )
         .unwrap();
-        assert!(!cfg.disable_memo);
         assert_eq!(cfg.serial_eval_threshold, 0);
         assert_eq!(cfg.threads, 0);
+        // Unknown keys, such as a knob a later version removed, are ignored.
+        let old: GaConfig = serde_json::from_str(
+            r#"{"population_size":64,"generations":80,"crossover_probability":0.8,
+                "mutation_probability":0.2,"tournament_size":5,"elitism":2,"seed":0,
+                "removed_knob":true}"#,
+        )
+        .unwrap();
+        assert_eq!(old, cfg);
     }
 
     #[test]
@@ -1159,10 +1144,10 @@ mod tests {
     }
 
     #[test]
-    fn memo_and_serial_threshold_are_pure_perf_knobs() {
-        // The memo cache and the auto-serial fallback change evaluation
-        // cost, never values: every knob combination must produce the
-        // byte-identical GaResult.
+    fn serial_threshold_is_a_pure_perf_knob() {
+        // The auto-serial fallback changes evaluation cost, never values:
+        // every threshold and thread count must produce the byte-identical
+        // GaResult.
         let bounds = [GeneBounds::new(0.0, 1.0).unwrap(); 5];
         let f = |c: &[f64]| c.iter().map(|x| x * (1.0 - x)).sum::<f64>();
         let cfg = GaConfig {
@@ -1172,22 +1157,18 @@ mod tests {
             ..GaConfig::default()
         };
         let reference = optimize(&bounds, f, &cfg).unwrap();
-        for disable_memo in [false, true] {
-            for serial_eval_threshold in [0, 1, 8192, usize::MAX] {
-                for threads in [1, 2] {
-                    let cfg = GaConfig {
-                        disable_memo,
-                        serial_eval_threshold,
-                        threads,
-                        ..cfg
-                    };
-                    let r = optimize(&bounds, f, &cfg).unwrap();
-                    assert_eq!(
-                        r, reference,
-                        "memo off={disable_memo} threshold={serial_eval_threshold} \
-                         threads={threads} diverged"
-                    );
-                }
+        for serial_eval_threshold in [0, 1, 8192, usize::MAX] {
+            for threads in [1, 2] {
+                let cfg = GaConfig {
+                    serial_eval_threshold,
+                    threads,
+                    ..cfg
+                };
+                let r = optimize(&bounds, f, &cfg).unwrap();
+                assert_eq!(
+                    r, reference,
+                    "threshold={serial_eval_threshold} threads={threads} diverged"
+                );
             }
         }
     }
@@ -1222,16 +1203,6 @@ mod tests {
         // The closure path never delta-patches or carries.
         assert_eq!(stats.delta_evals, 0);
         assert_eq!(stats.carried, 0);
-
-        let cfg = GaConfig {
-            disable_memo: true,
-            ..cfg
-        };
-        let (_, ablated) = optimize_with_stats(&bounds, f, &cfg).unwrap();
-        // Memo off: every considered slot is a fresh full evaluation.
-        assert_eq!(ablated.considered, ablated.full_evals);
-        assert_eq!(ablated.memo_hits, 0);
-        assert_eq!(ablated.batch_dups, 0);
     }
 
     #[test]

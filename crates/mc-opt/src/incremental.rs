@@ -297,7 +297,7 @@ impl ObjectiveCache {
     }
 
     /// Folds stored block partials into the objective. Identical additions
-    /// and multiplications as [`ObjectiveCache::eval_iter`]: `0.0 + x` and
+    /// and multiplications as [`ObjectiveCache::eval`]: `0.0 + x` and
     /// `1.0 × x` are exact, so seeding the fold with the identities and
     /// then folding per-block partials reproduces the flat loop bit for
     /// bit.

@@ -202,11 +202,11 @@ fn batch_objective_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn incremental_ga_matches_closure_ga_for_every_knob_combination() {
-    // The tentpole equality: the incremental backend, the memoised
-    // closure backend and the memo-ablated closure backend must return
-    // byte-identical GaResults for any thread count and any serial-
-    // fallback threshold. threshold 0 forces pool dispatch even for this
-    // small problem, so the parallel delta path is genuinely exercised.
+    // The tentpole equality: the incremental backend and the memoised
+    // closure backend must return byte-identical GaResults for any thread
+    // count and any serial-fallback threshold. threshold 0 forces pool
+    // dispatch even for this small problem, so the parallel delta path is
+    // genuinely exercised.
     let mut rng = StdRng::seed_from_u64(42);
     for dim in [6usize, 24] {
         let cache = random_cache(&mut rng, dim);
@@ -221,34 +221,28 @@ fn incremental_ga_matches_closure_ga_for_every_knob_combination() {
         let reference = optimize(&bounds, closure, &base).unwrap();
         for threads in [1usize, 2, 4] {
             for serial_eval_threshold in [0usize, 8192] {
-                for disable_memo in [false, true] {
-                    let cfg = GaConfig {
-                        threads,
-                        serial_eval_threshold,
-                        disable_memo,
-                        ..base
-                    };
-                    let ctx = format!(
-                        "dim {dim} threads {threads} threshold {serial_eval_threshold} \
-                         memo off {disable_memo}"
-                    );
-                    let r = optimize(&bounds, closure, &cfg).unwrap();
-                    assert_eq!(r, reference, "closure path diverged: {ctx}");
-                    let (ri, stats) = optimize_incremental(&cache, &bounds, &cfg).unwrap();
-                    assert_eq!(ri, reference, "incremental path diverged: {ctx}");
-                    // Every considered slot was served exactly one way.
-                    assert_eq!(
-                        stats.considered,
-                        stats.full_evals + stats.delta_evals + stats.carried,
-                        "{ctx}"
-                    );
-                    assert_eq!(stats.memo_hits, 0, "{ctx}");
-                    // Gen 0 is the only full-evaluation generation.
-                    assert_eq!(stats.full_evals, 32, "{ctx}");
-                    assert!(stats.delta_evals > 0, "{ctx}");
-                    // The whole point: most gene-terms are never re-folded.
-                    assert!(stats.genes_evaluated < stats.genes_total, "{ctx}");
-                }
+                let cfg = GaConfig {
+                    threads,
+                    serial_eval_threshold,
+                    ..base
+                };
+                let ctx = format!("dim {dim} threads {threads} threshold {serial_eval_threshold}");
+                let r = optimize(&bounds, closure, &cfg).unwrap();
+                assert_eq!(r, reference, "closure path diverged: {ctx}");
+                let (ri, stats) = optimize_incremental(&cache, &bounds, &cfg).unwrap();
+                assert_eq!(ri, reference, "incremental path diverged: {ctx}");
+                // Every considered slot was served exactly one way.
+                assert_eq!(
+                    stats.considered,
+                    stats.full_evals + stats.delta_evals + stats.carried,
+                    "{ctx}"
+                );
+                assert_eq!(stats.memo_hits, 0, "{ctx}");
+                // Gen 0 is the only full-evaluation generation.
+                assert_eq!(stats.full_evals, 32, "{ctx}");
+                assert!(stats.delta_evals > 0, "{ctx}");
+                // The whole point: most gene-terms are never re-folded.
+                assert!(stats.genes_evaluated < stats.genes_total, "{ctx}");
             }
         }
     }

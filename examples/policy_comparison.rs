@@ -1,45 +1,48 @@
 //! Compares WCET-assignment policies across HC utilisations — a compact,
-//! runnable version of the paper's Figs. 4–5 comparison.
+//! runnable version of the paper's Figs. 4–5 comparison, run as a reduced
+//! `fig5` catalog campaign.
 //!
 //! Run with: `cargo run --release --example policy_comparison`
 
-use chebymc::core::policy::paper_lambda_baselines;
-use chebymc::prelude::*;
+use chebymc::exp::catalog::{self, CatalogOptions};
+use chebymc::exp::{aggregate, run_campaign, RunConfig, Store};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let batch = BatchConfig {
-        task_sets: 50, // the paper uses 1000; 50 keeps the example snappy
-        seed: 2024,
-        generator: GeneratorConfig::default(),
-        threads: 0,
+    let u_values = vec![0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
+    let options = CatalogOptions {
+        sets: Some(50), // the paper uses 1000; 50 keeps the example snappy
+        seed: Some(2024),
+        points: Some(u_values.clone()),
+        ..CatalogOptions::default()
     };
-    let u_values = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
-
-    let mut policies: Vec<WcetPolicy> = vec![WcetPolicy::ChebyshevGa {
-        ga: GaConfig {
-            population_size: 32,
-            generations: 30,
-            ..GaConfig::default()
-        },
-        problem: ProblemConfig::default(),
-    }];
-    policies.extend(paper_lambda_baselines());
-    policies.push(WcetPolicy::Acet);
+    // The GA scheme, the paper's λ-range baselines and ACET, each on the
+    // same seeded task sets.
+    let campaign = catalog::build("fig5", &options)?;
+    let mut store = Store::in_memory(&campaign.spec);
+    run_campaign(
+        &campaign.spec,
+        campaign.runner.as_ref(),
+        &mut store,
+        &RunConfig::default(),
+    )?;
 
     println!(
         "{:<22} {:>8} {:>10} {:>12} {:>11}",
         "policy", "U_HC^HI", "P_MS", "maxU_LC^LO", "objective"
     );
-    for policy in &policies {
-        let points = evaluate_policy_over_utilization(&u_values, policy, &batch)?;
-        for p in &points {
+    // Points are policy-major: one block of utilisations per policy.
+    let points = aggregate(&campaign.spec, store.records())?;
+    for block in points.chunks(u_values.len()) {
+        for (point, u) in block.iter().zip(&u_values) {
+            let policy = point.label.split('/').next().unwrap_or_default();
+            let mean = |metric: &str| point.mean(metric).unwrap_or(f64::NAN);
             println!(
                 "{:<22} {:>8.2} {:>9.2}% {:>11.2}% {:>11.4}",
-                policy.name(),
-                p.u_hc_hi,
-                p.mean_p_ms * 100.0,
-                p.mean_max_u_lc_lo * 100.0,
-                p.mean_objective
+                policy,
+                u,
+                mean("p_ms") * 100.0,
+                mean("max_u_lc_lo") * 100.0,
+                mean("objective")
             );
         }
         println!();

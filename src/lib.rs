@@ -13,7 +13,7 @@
 //! | [`sched`] | EDF/EDF-VD/Liu schedulability analysis and the runtime simulator |
 //! | [`opt`] | the genetic algorithm and grid search |
 //! | [`lint`] | static analysis: CFG structure, task-set and config diagnostics |
-//! | [`core`] | the paper's scheme: policies, metrics, batch pipelines |
+//! | [`core`] | the paper's scheme: policies, metrics, per-set evaluation |
 //! | [`exp`] | sharded, resumable experiment campaigns with a crash-safe store |
 //! | [`serve`] | the distributed campaign service: coordinator, workers, failover |
 //! | [`fault`] | deterministic fault injection and the seeded property harness |
@@ -58,9 +58,6 @@ pub use mc_task as task;
 /// The most common imports, bundled.
 pub mod prelude {
     pub use chebymc_core::metrics::{design_metrics, DesignMetrics};
-    pub use chebymc_core::pipeline::{
-        acceptance_ratio, evaluate_policy_over_utilization, BatchConfig,
-    };
     pub use chebymc_core::policy::WcetPolicy;
     pub use chebymc_core::scheme::{ChebyshevScheme, DesignReport};
     pub use chebymc_core::CoreError;

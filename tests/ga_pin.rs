@@ -11,7 +11,9 @@
 //! - `optimize_incremental` on seeded problems of 1, 6, 16, 17 and 40
 //!   genes, on both sides of the 16-gene reduction block;
 //! - one closure-backend `optimize` run;
-//! - the `fig5` campaign at 10 sets per point, in memory.
+//! - the `fig5` campaign at 10 sets per point, in memory, and its store
+//!   at 1, 2 and 10 threads, which split the budget differently between
+//!   units and each GA.
 //!
 //! A reduced copy of `mc-opt`'s variation-chain property runs here too, so
 //! the delta evaluator's bit-identity is checked by the root test suite.
@@ -207,6 +209,41 @@ fn fig5_store_is_pinned() {
     let mut digest = Digest::new();
     digest.bytes(store.canonical_lines().as_bytes());
     assert_eq!(digest.0, PINNED, "fig5's store moved: {:#018x}", digest.0);
+}
+
+#[test]
+fn fig5_store_is_identical_for_any_thread_count() {
+    // One set at one utilisation: 5 units, one of them a GA unit. At 10
+    // threads the budget outnumbers the units, so every unit gets an inner
+    // GA budget of 2; whatever the split, every GA must follow the same
+    // serial RNG stream.
+    let options = CatalogOptions {
+        sets: Some(1),
+        points: Some(vec![0.6]),
+        ..CatalogOptions::default()
+    };
+    let campaign = catalog::build("fig5", &options).unwrap();
+    let lines: Vec<String> = [1, 2, 10]
+        .into_iter()
+        .map(|threads| {
+            let mut store = Store::in_memory(&campaign.spec);
+            let config = RunConfig {
+                threads,
+                ..RunConfig::default()
+            };
+            run_campaign(
+                &campaign.spec,
+                campaign.runner.as_ref(),
+                &mut store,
+                &config,
+            )
+            .unwrap();
+            store.canonical_lines()
+        })
+        .collect();
+    assert_eq!(campaign.spec.total_units(), 5);
+    assert_eq!(lines[0], lines[1], "1 vs 2 threads");
+    assert_eq!(lines[0], lines[2], "1 vs 10 threads");
 }
 
 fn bits_eq(a: ObjectiveValue, b: ObjectiveValue) -> bool {

@@ -1,11 +1,43 @@
 //! Small-scale checks of the paper's headline claims — the qualitative
-//! *shapes* of its tables and figures, run fast enough for CI. The full
-//! regeneration is the `chebymc exp` catalog (`scripts/regen_results.sh`
-//! writes every table to `results/`).
+//! *shapes* of its tables and figures, run fast enough for CI. Figs. 3–6
+//! run the `chebymc exp` catalog campaigns that write `results/` (see
+//! `scripts/regen_results.sh`), at fewer sets and utilisation points.
 
-use chebymc::core::policy::paper_lambda_baselines;
+use chebymc::exp::catalog::{self, CatalogOptions};
+use chebymc::exp::{aggregate, run_campaign, PointAggregate, RunConfig, Store};
 use chebymc::prelude::*;
 use rand::SeedableRng;
+
+/// Runs the catalog campaign `name` in memory with `sets` task sets per
+/// point, base seed `seed` and utilisation axis `points`, and returns its
+/// per-point means.
+fn run_catalog(name: &str, sets: usize, seed: u64, points: &[f64]) -> Vec<PointAggregate> {
+    let options = CatalogOptions {
+        sets: Some(sets),
+        seed: Some(seed),
+        points: Some(points.to_vec()),
+        ..CatalogOptions::default()
+    };
+    let campaign = catalog::build(name, &options).unwrap();
+    let mut store = Store::in_memory(&campaign.spec);
+    run_campaign(
+        &campaign.spec,
+        campaign.runner.as_ref(),
+        &mut store,
+        &RunConfig::default(),
+    )
+    .unwrap();
+    aggregate(&campaign.spec, store.records()).unwrap()
+}
+
+/// The mean of `metric` at the point labelled `<policy>/u<u>`.
+fn mean(aggs: &[PointAggregate], policy: &str, u: f64, metric: &str) -> f64 {
+    let label = format!("{policy}/u{u:.2}");
+    aggs.iter()
+        .find(|a| a.label == label)
+        .and_then(|a| a.mean(metric))
+        .unwrap_or_else(|| panic!("no `{metric}` at `{label}`"))
+}
 
 /// Table II's structure: the analysis column is exactly `1/(1+n²)` and the
 /// measured column is far below it for every benchmark.
@@ -57,99 +89,77 @@ fn fig2_shape_interior_optimum() {
     assert!(best.objective.fitness > 0.0);
 }
 
-/// Fig. 3's structure: P_MS grows with U_HC^HI at fixed n; max U_LC^LO
-/// falls; the optimum uniform n (weakly) decreases with utilisation.
+/// Fig. 3's structure: at a fixed n, P_MS grows with U_HC^HI and
+/// max U_LC^LO falls; at a fixed U_HC^HI, a larger n lowers P_MS without
+/// raising max U_LC^LO; the optimum uniform n does not increase with
+/// U_HC^HI.
 #[test]
 fn fig3_shape_utilization_trends() {
-    let batch = BatchConfig {
-        task_sets: 30,
-        seed: 9,
-        generator: GeneratorConfig::default(),
-        threads: 0,
+    let us = [0.4, 0.6, 0.8];
+    let fig3 = run_catalog("fig3", 30, 9, &us);
+    let at = |n: u32, u: f64, metric: &str| mean(&fig3, &format!("chebyshev-n{n}"), u, metric);
+    assert!(at(10, 0.4, "p_ms") < at(10, 0.6, "p_ms"));
+    assert!(at(10, 0.6, "p_ms") < at(10, 0.8, "p_ms"));
+    assert!(at(10, 0.4, "max_u_lc_lo") > at(10, 0.8, "max_u_lc_lo"));
+    assert!(at(20, 0.6, "p_ms") < at(2, 0.6, "p_ms"));
+    assert!(at(20, 0.6, "max_u_lc_lo") <= at(2, 0.6, "max_u_lc_lo") + 1e-9);
+    let optimum = |u: f64| {
+        (0..=40)
+            .max_by(|&a, &b| at(a, u, "objective").total_cmp(&at(b, u, "objective")))
+            .unwrap()
     };
-    let policy = WcetPolicy::ChebyshevUniform { n: 10.0 };
-    let pts = evaluate_policy_over_utilization(&[0.4, 0.6, 0.8], &policy, &batch).unwrap();
-    assert!(pts[0].mean_p_ms < pts[1].mean_p_ms);
-    assert!(pts[1].mean_p_ms < pts[2].mean_p_ms);
-    assert!(pts[0].mean_max_u_lc_lo > pts[2].mean_max_u_lc_lo);
-}
-
-/// Fig. 4/5's headline: the GA scheme dominates every λ-range baseline on
-/// the combined objective, at low and high utilisation alike.
-#[test]
-fn fig4_fig5_scheme_dominates_lambda_baselines() {
-    let batch = BatchConfig {
-        task_sets: 25,
-        seed: 31,
-        generator: GeneratorConfig::default(),
-        threads: 0,
-    };
-    let scheme = WcetPolicy::ChebyshevGa {
-        ga: GaConfig {
-            population_size: 32,
-            generations: 25,
-            ..GaConfig::default()
-        },
-        problem: ProblemConfig::default(),
-    };
-    let us = [0.4, 0.8];
-    let ours = evaluate_policy_over_utilization(&us, &scheme, &batch).unwrap();
-    for baseline in paper_lambda_baselines() {
-        let theirs = evaluate_policy_over_utilization(&us, &baseline, &batch).unwrap();
-        for (o, t) in ours.iter().zip(&theirs) {
-            assert!(
-                o.mean_objective >= t.mean_objective,
-                "U = {}: scheme {} vs {} {}",
-                o.u_hc_hi,
-                o.mean_objective,
-                baseline.name(),
-                t.mean_objective
-            );
-        }
-    }
-    // And the paper's worst-case P_MS claim shape: bounded around ~10 %.
+    let optima = us.map(optimum);
     assert!(
-        ours.iter().all(|p| p.mean_p_ms < 0.25),
-        "P_MS stays bounded: {:?}",
-        ours.iter().map(|p| p.mean_p_ms).collect::<Vec<_>>()
+        optima.windows(2).all(|w| w[0] >= w[1]),
+        "optimum n {optima:?}"
     );
 }
 
-/// Fig. 6's structure: acceptance is 1 at low bounds, decays at high
-/// bounds, and the scheme's curve sits on or above the λ baseline for both
-/// scheduling approaches.
+/// Fig. 4/5's headline: the GA scheme dominates every λ-range baseline
+/// (and ACET) on the combined objective, at low and high utilisation
+/// alike.
 #[test]
-fn fig6_acceptance_ordering() {
-    let batch = BatchConfig {
-        task_sets: 30,
-        seed: 17,
-        generator: GeneratorConfig::default(),
-        threads: 0,
-    };
-    let bounds = [0.5, 0.8, 0.95];
-    let ours = WcetPolicy::ChebyshevUniform { n: 3.0 };
-    let baseline = WcetPolicy::LambdaRange {
-        lambda_min: 0.25,
-        seed: 0,
-    };
-    for approach in [
-        PolicySpec::EdfVdDropAll,
-        PolicySpec::LiuDegrade { fraction: 0.5 },
-    ] {
-        let a = acceptance_ratio(&bounds, &ours, &approach, &batch).unwrap();
-        let b = acceptance_ratio(&bounds, &baseline, &approach, &batch).unwrap();
-        assert_eq!(a[0].ratio, 1.0, "everything fits at U = 0.5");
-        for (x, y) in a.iter().zip(&b) {
+fn fig4_fig5_scheme_dominates_lambda_baselines() {
+    let us = [0.4, 0.8];
+    let fig5 = run_catalog("fig5", 25, 31, &us);
+    let policies = catalog::fig5_policies();
+    let scheme = policies[0].name();
+    for u in us {
+        let ours = mean(&fig5, &scheme, u, "objective");
+        for other in &policies[1..] {
+            let theirs = mean(&fig5, &other.name(), u, "objective");
             assert!(
-                x.ratio >= y.ratio,
-                "{approach:?} at U = {}: ours {} < baseline {}",
-                x.u_bound,
-                x.ratio,
-                y.ratio
+                ours >= theirs,
+                "U = {u}: scheme {ours} vs {} {theirs}",
+                other.name()
             );
         }
+        // And the paper's worst-case P_MS claim shape: bounded around ~10 %.
+        let p_ms = mean(&fig5, &scheme, u, "p_ms");
+        assert!(p_ms < 0.25, "U = {u}: P_MS {p_ms} is not bounded");
+    }
+}
+
+/// Fig. 6's structure: with the scheme, acceptance is 1 at a low bound and
+/// decays at high bounds, and it sits on or above the published approach
+/// for both Baruah'12 and Liu'16.
+#[test]
+fn fig6_acceptance_ordering() {
+    let bounds = [0.5, 0.8, 0.95];
+    let fig6 = run_catalog("fig6", 30, 17, &bounds);
+    for approach in ["baruah12", "liu16"] {
+        let with_scheme = format!("{approach}+scheme");
+        let ratios = |name: &str| bounds.map(|u| mean(&fig6, name, u, "accepted"));
+        let (ours, published) = (ratios(&with_scheme), ratios(approach));
+        assert_eq!(ours[0], 1.0, "{with_scheme}: everything fits at U = 0.5");
+        for ((u, x), y) in bounds.iter().zip(ours).zip(published) {
+            assert!(x >= y, "{approach} at U = {u}: ours {x} < published {y}");
+        }
         // Monotone decay.
-        assert!(a[0].ratio >= a[1].ratio && a[1].ratio >= a[2].ratio);
+        assert!(
+            ours[0] >= ours[1] && ours[1] >= ours[2],
+            "{with_scheme}: {ours:?}"
+        );
     }
 }
 
