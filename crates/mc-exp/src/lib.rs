@@ -101,6 +101,17 @@ pub enum ExpError {
     /// Aggregation was asked for before every replica of a point
     /// completed.
     Incomplete(String),
+    /// A unit produced a NaN or infinite metric. JSON would carry it as
+    /// `null`, which no reader accepts as a number, so the record is
+    /// refused before any byte of it is written or framed.
+    NonFiniteMetric {
+        /// The unit's flat index.
+        unit: usize,
+        /// The metric's name.
+        metric: String,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ExpError {
@@ -121,6 +132,14 @@ impl fmt::Display for ExpError {
             ExpError::Core(e) => write!(f, "unit failed: {e}"),
             ExpError::Config(msg) => write!(f, "{msg}"),
             ExpError::Incomplete(msg) => write!(f, "campaign incomplete: {msg}"),
+            ExpError::NonFiniteMetric {
+                unit,
+                metric,
+                value,
+            } => write!(
+                f,
+                "unit {unit} produced metric `{metric}` = {value}, which JSON cannot carry"
+            ),
         }
     }
 }

@@ -84,6 +84,25 @@ pub struct UnitRecord {
     pub metrics: Vec<Metric>,
 }
 
+impl UnitRecord {
+    /// Checks that every metric is finite: JSON writes NaN and ±∞ as
+    /// `null`, which no reader of a store line or a wire frame accepts.
+    ///
+    /// # Errors
+    ///
+    /// [`ExpError::NonFiniteMetric`] naming the first offending metric.
+    pub fn check_finite(&self) -> Result<(), ExpError> {
+        match self.metrics.iter().find(|m| !m.value.is_finite()) {
+            Some(m) => Err(ExpError::NonFiniteMetric {
+                unit: self.unit,
+                metric: m.name.clone(),
+                value: m.value,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
 /// What [`Store::create_or_resume`] found on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResumeInfo {
@@ -400,16 +419,14 @@ impl Store {
             }
         }
         if let Some(io) = self.io.as_mut() {
-            // One write per line: serializing the whole batch into one
-            // buffer first would grow peak memory with the batch size.
+            // One write per line, each serialized into the same buffer:
+            // serializing the whole batch first would grow peak memory
+            // with the batch size.
+            let mut line = Vec::new();
             for record in batch.iter() {
-                let mut line = serde_json::to_string(record).map_err(|e| ExpError::Store {
-                    path: label.clone(),
-                    detail: format!("record serialization failed: {e}"),
-                })?;
-                line.push('\n');
-                io.write_all(line.as_bytes())
-                    .map_err(|e| label_io_err(label, e))?;
+                line.clear();
+                append_line(&mut line, record);
+                io.write_all(&line).map_err(|e| label_io_err(label, e))?;
             }
             // fsync dominates append cost on real disks; give it its own
             // span (and latency histogram) so `trace summary` separates
@@ -439,13 +456,12 @@ impl Store {
     pub fn canonical_lines(&self) -> String {
         let mut sorted: Vec<&UnitRecord> = self.records.iter().collect();
         sorted.sort_by_key(|r| r.unit);
-        let mut out = serde_json::to_string(&self.header).expect("header serialization");
-        out.push('\n');
+        let mut out = Vec::new();
+        append_line(&mut out, &self.header);
         for r in sorted {
-            out.push_str(&serde_json::to_string(r).expect("record serialization"));
-            out.push('\n');
+            append_line(&mut out, r);
         }
-        out
+        String::from_utf8(out).expect("serialized JSON is UTF-8")
     }
 
     /// Merges several stores of the *same campaign* into one in-memory
@@ -487,15 +503,17 @@ impl Store {
     }
 }
 
+/// Appends `value`'s compact JSON and a newline to `out`.
+fn append_line<T: Serialize>(out: &mut Vec<u8>, value: &T) {
+    serde_json::to_writer(out, value).expect("serializing to memory cannot fail");
+    out.push(b'\n');
+}
+
 /// Serializes `value` as one JSON line, writes it, and fsyncs.
 fn write_line<T: Serialize>(io: &mut dyn StoreIo, label: &str, value: &T) -> Result<(), ExpError> {
-    let mut line = serde_json::to_string(value).map_err(|e| ExpError::Store {
-        path: label.to_string(),
-        detail: format!("serialization failed: {e}"),
-    })?;
-    line.push('\n');
-    io.write_all(line.as_bytes())
-        .map_err(|e| label_io_err(label, e))?;
+    let mut line = Vec::new();
+    append_line(&mut line, value);
+    io.write_all(&line).map_err(|e| label_io_err(label, e))?;
     io.sync_data().map_err(|e| label_io_err(label, e))?;
     Ok(())
 }
@@ -632,7 +650,8 @@ fn parse_store_bytes(bytes: &[u8], spec: &CampaignSpec, display: &str) -> Result
     })
 }
 
-/// Checks a record against the campaign's unit and seed contract.
+/// Checks a record against the campaign's unit and seed contract, and
+/// that JSON can carry its metrics.
 fn validate_record(
     record: &UnitRecord,
     spec: &CampaignSpec,
@@ -664,7 +683,7 @@ fn validate_record(
             record.unit, record.seed
         )));
     }
-    Ok(())
+    record.check_finite()
 }
 
 #[cfg(test)]

@@ -107,24 +107,24 @@ pub struct WcetProblem {
     cache: ObjectiveCache,
 }
 
-/// Wire-format shadow of [`WcetProblem`]: exactly the serialized fields,
-/// so the derived `cache` never leaks into (or gets read from) JSON and
+/// Wire-format shadow of [`WcetProblem`] for reading: exactly the
+/// serialized fields, so the derived `cache` is never read from JSON and
 /// the format stays identical to earlier releases.
-#[derive(Serialize, Deserialize)]
+#[derive(Deserialize)]
 struct WcetProblemWire {
     tasks: Vec<HcTaskParams>,
     u_hc_hi: f64,
     config: ProblemConfig,
 }
 
+/// Writes the three fields `WcetProblemWire` reads, leaving out the cache.
 impl Serialize for WcetProblem {
-    fn to_value(&self) -> serde::Value {
-        WcetProblemWire {
-            tasks: self.tasks.clone(),
-            u_hc_hi: self.u_hc_hi,
-            config: self.config,
-        }
-        .to_value()
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.begin_object();
+        w.field("tasks", &self.tasks);
+        w.field("u_hc_hi", &self.u_hc_hi);
+        w.field("config", &self.config);
+        w.end_object();
     }
 }
 

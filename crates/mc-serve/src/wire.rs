@@ -11,7 +11,7 @@
 use crate::ServeError;
 use mc_exp::{CampaignSpec, UnitRecord};
 use serde::{Deserialize, Serialize};
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Cursor, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on one frame's payload. Specs embed their full point list,
@@ -99,16 +99,20 @@ pub fn write_frame(w: &mut dyn Write, msg: &Message) -> Result<(), ServeError> {
 }
 
 /// Appends one frame to `out`: the bytes [`write_frame`] would write.
+/// The message is serialized in place, and its length prefix goes in
+/// ahead of it, so a reused `out` costs no allocation per frame.
 ///
 /// # Errors
 ///
 /// Serialization failures.
 pub(crate) fn encode_frame(msg: &Message, out: &mut Vec<u8>) -> Result<(), ServeError> {
-    let json = serde_json::to_string(msg)
+    let start = out.len();
+    serde_json::to_writer(out, msg)
         .map_err(|e| ServeError::Protocol(format!("message serialization failed: {e}")))?;
-    out.extend_from_slice(json.len().to_string().as_bytes());
-    out.push(b'\n');
-    out.extend_from_slice(json.as_bytes());
+    let mut prefix = Cursor::new([0u8; 24]);
+    writeln!(prefix, "{}", out.len() - start)?;
+    let used = prefix.position() as usize;
+    out.splice(start..start, prefix.get_ref()[..used].iter().copied());
     out.push(b'\n');
     Ok(())
 }
@@ -121,7 +125,8 @@ pub(crate) fn encode_frame(msg: &Message, out: &mut Vec<u8>) -> Result<(), Serve
 /// # Errors
 ///
 /// Socket failures, oversized or malformed length prefixes, short
-/// payloads, and JSON that does not parse as a [`Message`].
+/// payloads, JSON that does not parse as a [`Message`], and `Record`
+/// frames with a non-finite metric.
 pub fn read_frame(r: &mut dyn Read) -> Result<Option<Message>, ServeError> {
     // Length prefix: ASCII digits up to '\n'.
     let mut len: usize = 0;
@@ -171,9 +176,16 @@ pub fn read_frame(r: &mut dyn Read) -> Result<Option<Message>, ServeError> {
     }
     let json = std::str::from_utf8(&payload)
         .map_err(|_| ServeError::Protocol("frame payload is not UTF-8".into()))?;
-    serde_json::from_str(json)
-        .map(Some)
-        .map_err(|e| ServeError::Protocol(format!("frame does not parse: {e}")))
+    let msg: Message = serde_json::from_str(json)
+        .map_err(|e| ServeError::Protocol(format!("frame does not parse: {e}")))?;
+    // A number too large for an f64 (`1e999`) parses as infinity, which no
+    // store accepts: refuse it here, like the `null` a NaN would be.
+    if let Message::Record { record, .. } = &msg {
+        record
+            .check_finite()
+            .map_err(|e| ServeError::Protocol(format!("frame refused: {e}")))?;
+    }
+    Ok(Some(msg))
 }
 
 /// Whether `buf` — the unread bytes of a buffered reader — already holds

@@ -516,7 +516,16 @@ fn run_lease(
                     seed: unit.seed,
                     metrics,
                 };
-                sink.lock().expect("sink poisoned").complete(pos, record)
+                // A frame that does not parse would only make the
+                // coordinator drop the connection and reassign the unit,
+                // so a NaN fails the worker before it is framed.
+                match record.check_finite() {
+                    Ok(()) => sink.lock().expect("sink poisoned").complete(pos, record),
+                    Err(e) => {
+                        *error.lock().expect("error poisoned") = Some(e);
+                        false
+                    }
+                }
             }
             Err(e) => {
                 *error.lock().expect("error poisoned") = Some(e);

@@ -12,7 +12,7 @@ use chebymc::exp::catalog::{self, CatalogOptions};
 use chebymc::exp::{run_campaign, Metric, RunConfig, Store, UnitRecord};
 use chebymc::fault::{assert_prop, FaultRng, PropConfig};
 use chebymc::lint::source_pass::Allowlist;
-use chebymc::serve::{read_frame, Message};
+use chebymc::serve::{read_frame, Message, ServeError};
 use chebymc::task::workload::Workload;
 use chebymc::task::TaskError;
 
@@ -121,6 +121,56 @@ fn workload_json_fails_cleanly() {
             Ok(())
         },
     );
+}
+
+/// `\u` escapes that must fail: a high surrogate followed by another high
+/// surrogate (an unchecked subtraction overflows on it), by anything but
+/// a low half, and a sign where a hex digit belongs (`from_str_radix`
+/// takes one).
+const BAD_ESCAPES: [&str; 3] = [r"\uDBFF\uDBFF", r"\uD800\uDBFF", r"\u+041"];
+
+#[test]
+fn bad_unicode_escapes_fail_cleanly() {
+    let fixture = include_str!("../fixtures/synthetic_u075.json");
+    let named = |escape: &str| {
+        fixture.replacen(
+            "\"name\": \"synthetic-",
+            &format!("\"name\": \"synthetic{escape}-"),
+            1,
+        )
+    };
+    let frame = |escape: &str| {
+        let payload = format!(r#"{{"Hello":{{"worker":"w{escape}","threads":1}}}}"#);
+        format!("{}\n{payload}\n", payload.len())
+    };
+    // The same spots take a sound escape.
+    assert_eq!(
+        Workload::load_json(&named(r"\u0041")).unwrap().name,
+        "syntheticA-u0.75-seed2026"
+    );
+    assert_eq!(
+        read_frame(&mut frame(r"\uDBFF\uDFFF").as_bytes()).unwrap(),
+        Some(Message::Hello {
+            worker: "w\u{10FFFF}".into(),
+            threads: 1
+        })
+    );
+    for escape in BAD_ESCAPES {
+        assert!(
+            matches!(
+                Workload::load_json(&named(escape)),
+                Err(TaskError::InvalidGeneratorConfig { .. })
+            ),
+            "{escape}"
+        );
+        assert!(
+            matches!(
+                read_frame(&mut frame(escape).as_bytes()),
+                Err(ServeError::Protocol(_))
+            ),
+            "{escape}"
+        );
+    }
 }
 
 #[test]
