@@ -264,7 +264,7 @@ mod tests {
 
     #[test]
     fn derived_seeds_are_spread_out() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for point in 0..8 {
             for set in 0..64 {
                 assert!(seen.insert(derive_set_seed(7, point, set)));

@@ -6,7 +6,7 @@
 //! These properties pin the contract: determinism, sensitivity to every
 //! argument, and collision-freedom over realistic campaign grids.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use chebymc_core::pipeline::derive_set_seed;
 use mc_fault::{assert_prop, FaultRng, PropConfig};
@@ -52,7 +52,7 @@ fn derived_seeds_are_collision_free_over_campaign_grids() {
         },
         |&(base, points, sets)| {
             let mut rng = FaultRng::new(base);
-            let mut seen = HashSet::new();
+            let mut seen = BTreeSet::new();
             for point in 0..points {
                 for set in 0..sets {
                     let seed = derive_set_seed(base, point, set);

@@ -166,6 +166,10 @@ fn image_dist(spec: &TableSpec) -> Result<Dist, ExecError> {
 /// Builds the qsort program model: k×k nested comparison loops (the O(k²)
 /// worst case) whose average inner iteration count is tuned so that the
 /// model's ACET estimate matches the published one (the O(k log k) average).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "wcet_pes is a whole Table I cycle count, far below 2^64"
+)]
 fn qsort_program(k: u64, spec: &TableSpec) -> Program {
     let n = k * k;
     let cmp_cost = (spec.wcet_pes as u64) / n;
@@ -190,6 +194,10 @@ fn qsort_program(k: u64, spec: &TableSpec) -> Program {
 /// Builds an image-kernel program model: a rows×cols pixel scan with a
 /// data-dependent branch between a cheap pass and an expensive response
 /// computation, with the taken-probability tuned to the published ACET.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "wcet_pes is a whole Table I cycle count, far below 2^64"
+)]
 fn image_program(rows: u64, cols: u64, spec: &TableSpec) -> Program {
     const COND: u64 = 3;
     const CHEAP: u64 = 2;

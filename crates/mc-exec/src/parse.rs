@@ -255,6 +255,10 @@ impl Parser {
 
     /// `v` as a `u64`, refusing fractions and anything outside `[0, 2⁶⁴)`
     /// (which a cast would saturate).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the range and fraction checks above make the cast exact"
+    )]
     fn integer(&self, v: f64, what: &str) -> Result<u64, ParseError> {
         if v < 0.0 || v.fract() != 0.0 || v >= u64::MAX as f64 {
             return Err(self.err_here(format!("{what} must be a non-negative integer")));

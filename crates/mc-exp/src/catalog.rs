@@ -133,6 +133,10 @@ pub fn build(name: &str, opts: &CatalogOptions) -> Result<Campaign, ExpError> {
 /// different catalog version, or hand-edited points this catalog cannot
 /// reproduce).
 pub fn rebuild(spec: &CampaignSpec) -> Result<Campaign, ExpError> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a count this catalog cannot reproduce fails the spec comparison below"
+    )]
     let param = |name: &str| {
         spec.params
             .iter()

@@ -46,6 +46,10 @@ fn tri_level_taskset(
         } else {
             None
         };
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "task indices are below the generated task count"
+        )]
         ts.push(MultiTask::new(
             TaskId::new(i as u32),
             format!("t{i}"),

@@ -42,6 +42,11 @@
 //!   extensions, run by `chebymc exp` and `chebymc serve`.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::undocumented_unsafe_blocks,
+    clippy::cast_possible_truncation
+)]
 
 pub mod accounting;
 pub mod aggregate;

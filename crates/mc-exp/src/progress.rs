@@ -28,6 +28,10 @@ impl Progress {
     /// campaign; `session_total` is this shard's pending unit count.
     /// A disabled reporter never writes.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stderr progress and ETA reporting only; rates and throttling never reach the result store"
+    )]
     pub fn new(
         enabled: bool,
         campaign_total: usize,
@@ -49,11 +53,19 @@ impl Progress {
     /// throttled status line with the store-wide completion, the session
     /// rate, the ETA for this shard's remaining units, and how many axis
     /// points are fully done.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the ETA is a finite, non-negative count of seconds"
+    )]
     pub fn units_done(&mut self, count: usize, store_completed: usize, points_done: usize) {
         self.session_done += count;
         if !self.enabled {
             return;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stderr progress and ETA reporting only; rates and throttling never reach the result store"
+        )]
         let now = Instant::now();
         let due = self
             .last_emit
@@ -99,6 +111,10 @@ impl Progress {
                 self.campaign_total,
             );
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stderr progress and ETA reporting only; rates and throttling never reach the result store"
+        )]
         let elapsed = Instant::now().duration_since(self.start).as_secs_f64();
         format!(
             "exp: session ran {}/{} pending units in {elapsed:.1}s; store holds {store_completed}/{} units",

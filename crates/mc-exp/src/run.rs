@@ -316,6 +316,10 @@ pub fn run_campaign(
     cfg: &RunConfig,
 ) -> Result<RunSummary, ExpError> {
     let _session_span = mc_obs::span("exp.session");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "RunSummary.elapsed is operator-facing session metadata; stored unit records never contain it"
+    )]
     let start = Instant::now();
     let store_path = store.path().map(|p| p.display().to_string());
     let report = mc_lint::lint_campaign(&spec.check(

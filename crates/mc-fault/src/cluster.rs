@@ -74,6 +74,10 @@ pub fn cluster_plan(seed: u64, workers: usize, total_units: usize) -> ClusterPla
     assert!(workers > 0, "a cluster needs at least one worker");
     let mut rng = FaultRng::new(mix64(seed, 0xC1A5));
     let horizon = (total_units as u64).max(1);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "below(n) < n, and n came from a usize"
+    )]
     let survivor = rng.below(workers as u64) as usize;
     let mut worker_kill_after = Vec::with_capacity(workers);
     for w in 0..workers {

@@ -22,6 +22,10 @@ pub const PERIOD_LADDER_MS: [u64; 5] = [5, 10, 20, 25, 50];
 /// (an all-unschedulable stream would make "schedulable ⇒ no miss"
 /// oracles vacuous).
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "every draw is bounded by a small constant: at most six tasks and a ladder index"
+)]
 pub fn mixed_taskset(rng: &mut FaultRng) -> TaskSet {
     let hc = rng.range_u64(1, 3) as usize;
     let lc = rng.below(4) as usize;
@@ -69,6 +73,10 @@ pub fn profiled_hc_task(rng: &mut FaultRng, id: u32, n: f64) -> McTask {
     let sigma = acet * rng.range_f64(0.05, 0.30);
     let profile = ExecutionProfile::new(acet, sigma, wcet_pes as f64)
         .expect("generator respects profile invariants");
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "clamped to [1, wcet_pes], a u64"
+    )]
     let c_lo = (acet + n * sigma).ceil().clamp(1.0, wcet_pes as f64) as u64;
     let period = Duration::from_nanos(wcet_pes * rng.range_u64(4, 20));
     McTask::builder(TaskId::new(id))
@@ -98,6 +106,10 @@ pub struct SpecShape {
 /// A random campaign shape: 1–5 points, 1–4 replicas, values in
 /// `[0.05, 0.95]` rounded to two decimals (keeps labels and JSON short).
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the draws are at most 5 points and 4 replicas"
+)]
 pub fn spec_shape(rng: &mut FaultRng) -> SpecShape {
     let points = rng.range_u64(1, 5) as usize;
     let point_values = (0..points)
@@ -219,7 +231,7 @@ mod tests {
     #[test]
     fn exec_samples_are_positive_and_family_shaped() {
         let mut rng = FaultRng::new(13);
-        let mut families = std::collections::HashSet::new();
+        let mut families = std::collections::BTreeSet::new();
         for _ in 0..40 {
             let (family, xs) = exec_samples(&mut rng, 500);
             families.insert(format!("{family:?}"));

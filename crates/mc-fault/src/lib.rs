@@ -28,6 +28,11 @@
 //! reproduce-from-seed workflow (`chebymc fault sweep --seed N`).
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::undocumented_unsafe_blocks,
+    clippy::cast_possible_truncation
+)]
 
 pub mod cluster;
 pub mod gen;

@@ -103,6 +103,10 @@ impl Shrink for u64 {
     }
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "shrinking moves toward zero, so every candidate fits the usize it came from"
+)]
 impl Shrink for usize {
     fn shrink(&self) -> Vec<Self> {
         (*self as u64)
@@ -429,6 +433,7 @@ mod tests {
         let cex = check(
             &cfg,
             |rng| {
+                #[expect(clippy::cast_possible_truncation, reason = "a draw in [1, 12]")]
                 let n = rng.range_u64(1, 12) as usize;
                 (0..n).map(|_| rng.below(100)).collect::<Vec<u64>>()
             },

@@ -95,6 +95,10 @@ impl FaultRng {
     pub fn permutation(&mut self, n: usize) -> Vec<usize> {
         let mut p: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "below(i + 1) <= i, a usize"
+            )]
             let j = self.below(i as u64 + 1) as usize;
             p.swap(i, j);
         }

@@ -26,11 +26,14 @@ impl fmt::Display for Severity {
 }
 
 /// Stable diagnostic codes. `C0xx` cover CFG structure, `T0xx` task-set
-/// invariants, `S0xx` scheme/GA/generator configuration, `P0xx` the
-/// scheduling-policy rosters campaigns race.
+/// invariants, `S0xx` scheme/GA/generator configuration, `E0xx` campaign
+/// specs, `P0xx` the scheduling-policy rosters campaigns race, `A0xx` the
+/// automotive workload family.
 ///
 /// Codes are append-only: a code's meaning never changes once released,
-/// and retired codes are not reused.
+/// and retired codes are not reused. `D001`–`D004` and `U001`–`U005`, the
+/// former source audit's codes, are retired; clippy checks the workspace's
+/// sources instead (DESIGN.md §13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[allow(clippy::upper_case_acronyms)]
 pub enum Code {
@@ -106,25 +109,6 @@ pub enum Code {
     E005,
     /// Campaign is very large.
     E006,
-    /// Unordered hash collection (`HashMap`/`HashSet`) in library code.
-    D001,
-    /// Wall-clock read (`Instant::now`/`SystemTime`) outside a
-    /// whitelisted timing module.
-    D002,
-    /// Unseeded or environment-derived randomness.
-    D003,
-    /// Float reduction over an unordered iterator.
-    D004,
-    /// `unsafe` without a `// SAFETY:` justification.
-    U001,
-    /// Float→int `as` cast without explicit rounding.
-    U002,
-    /// `.unwrap()` or undocumented `.expect(..)` in library code.
-    U003,
-    /// Documented `.expect("…")` panic site in library code (inventory).
-    U004,
-    /// Stale allowlist entry: it suppressed no findings.
-    U005,
     /// Scheduling-policy parameter out of range (fraction/floor outside
     /// `[0, 1]` or non-finite).
     P001,
@@ -155,9 +139,9 @@ impl Code {
     pub fn severity(self) -> Severity {
         use Code::{
             A001, A002, A003, A004, A005, A006, C001, C002, C003, C004, C005, C006, C007, C008,
-            C009, D001, D002, D003, D004, E001, E002, E003, E004, E005, E006, P001, P002, P003,
-            S001, S002, S003, S004, S005, S006, S007, S008, S009, T001, T002, T003, T004, T005,
-            T006, T007, T008, T009, T010, T011, T012, U001, U002, U003, U004, U005,
+            C009, E001, E002, E003, E004, E005, E006, P001, P002, P003, S001, S002, S003, S004,
+            S005, S006, S007, S008, S009, T001, T002, T003, T004, T005, T006, T007, T008, T009,
+            T010, T011, T012,
         };
         match self {
             C001 | C002 | C003 | C004 | C005 | C006 => Severity::Error,
@@ -171,25 +155,9 @@ impl Code {
             S008 => Severity::Info,
             E001 | E002 | E003 | E004 | E005 => Severity::Error,
             E006 => Severity::Warning,
-            D001 | D002 | D003 => Severity::Error,
-            D004 => Severity::Warning,
-            U001 | U003 => Severity::Error,
-            U002 | U005 => Severity::Warning,
-            U004 => Severity::Info,
             P001 | P002 | P003 => Severity::Error,
             A001 | A002 | A003 | A004 | A005 | A006 => Severity::Error,
         }
-    }
-
-    /// The code's class letter (`C`, `T`, `S`, `E`, `D`, `U`, `P`, or
-    /// `A`) —
-    /// the granularity `--deny`/`--allow` accept besides full codes.
-    #[must_use]
-    pub fn class(self) -> char {
-        self.to_string()
-            .chars()
-            .next()
-            .expect("codes render as non-empty `X0nn` strings")
     }
 
     /// One-line description of what the code means (the DESIGN.md table's
@@ -233,15 +201,6 @@ impl Code {
             Code::E004 => "duplicate campaign point labels",
             Code::E005 => "output path collision",
             Code::E006 => "campaign is very large",
-            Code::D001 => "unordered hash collection in library code",
-            Code::D002 => "wall-clock read outside a whitelisted timing module",
-            Code::D003 => "unseeded or environment-derived randomness",
-            Code::D004 => "float reduction over an unordered iterator",
-            Code::U001 => "`unsafe` without a `// SAFETY:` justification",
-            Code::U002 => "float-to-int `as` cast without explicit rounding",
-            Code::U003 => "`.unwrap()` or undocumented `.expect(..)` in library code",
-            Code::U004 => "documented `.expect(\"…\")` panic site in library code",
-            Code::U005 => "stale allowlist entry (suppressed no findings)",
             Code::P001 => "scheduling-policy parameter out of range",
             Code::P002 => "duplicate scheduling-policy names in one roster",
             Code::P003 => "policy roster is empty",
@@ -299,15 +258,6 @@ pub const ALL_CODES: &[Code] = &[
     Code::E004,
     Code::E005,
     Code::E006,
-    Code::D001,
-    Code::D002,
-    Code::D003,
-    Code::D004,
-    Code::U001,
-    Code::U002,
-    Code::U003,
-    Code::U004,
-    Code::U005,
     Code::P001,
     Code::P002,
     Code::P003,
@@ -318,98 +268,6 @@ pub const ALL_CODES: &[Code] = &[
     Code::A005,
     Code::A006,
 ];
-
-/// The exit-code policy shared by every `chebymc lint` pass: which
-/// findings are *deny-level* (fail the run). By default a finding is
-/// deny-level iff its severity is [`Severity::Error`]; `--deny` promotes
-/// whole classes (`D`), single codes (`U002`), or `warnings` (everything
-/// at warning severity or above), and `--allow` demotes classes or codes
-/// so they can never gate. `--allow` never removes a finding from the
-/// report — output stays byte-identical whatever the gate says.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Gate {
-    deny_classes: Vec<char>,
-    deny_codes: Vec<Code>,
-    deny_warnings: bool,
-    allow_classes: Vec<char>,
-    allow_codes: Vec<Code>,
-}
-
-impl Gate {
-    /// Parses comma-separated `--deny`/`--allow` lists. Each entry is a
-    /// class letter (`C`, `T`, `S`, `E`, `D`, `U`, `P`, `A`), a full code
-    /// (`D002`), or — for `--deny` only — the word `warnings`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first unrecognised entry.
-    pub fn parse(deny: Option<&str>, allow: Option<&str>) -> Result<Self, String> {
-        let mut gate = Gate::default();
-        for entry in deny.unwrap_or("").split(',').filter(|s| !s.is_empty()) {
-            if entry == "warnings" {
-                gate.deny_warnings = true;
-            } else if let Some(class) = parse_class(entry) {
-                gate.deny_classes.push(class);
-            } else if let Some(code) = parse_code(entry) {
-                gate.deny_codes.push(code);
-            } else {
-                return Err(format!(
-                    "unknown --deny entry `{entry}` (expected a class letter, a code like D002, or `warnings`)"
-                ));
-            }
-        }
-        for entry in allow.unwrap_or("").split(',').filter(|s| !s.is_empty()) {
-            if let Some(class) = parse_class(entry) {
-                gate.allow_classes.push(class);
-            } else if let Some(code) = parse_code(entry) {
-                gate.allow_codes.push(code);
-            } else {
-                return Err(format!(
-                    "unknown --allow entry `{entry}` (expected a class letter or a code like U004)"
-                ));
-            }
-        }
-        Ok(gate)
-    }
-
-    /// Whether this finding fails the run under the gate.
-    #[must_use]
-    pub fn is_deny(&self, diagnostic: &Diagnostic) -> bool {
-        let code = diagnostic.code;
-        if self.allow_codes.contains(&code) || self.allow_classes.contains(&code.class()) {
-            return false;
-        }
-        if self.deny_codes.contains(&code) || self.deny_classes.contains(&code.class()) {
-            return true;
-        }
-        if self.deny_warnings && diagnostic.severity >= Severity::Warning {
-            return true;
-        }
-        diagnostic.severity == Severity::Error
-    }
-
-    /// Number of deny-level findings in the report.
-    #[must_use]
-    pub fn count_deny(&self, report: &LintReport) -> usize {
-        report.iter().filter(|d| self.is_deny(d)).count()
-    }
-}
-
-/// A single uppercase class letter with at least one released code.
-fn parse_class(entry: &str) -> Option<char> {
-    let mut chars = entry.chars();
-    let c = chars.next()?;
-    if chars.next().is_none() && ALL_CODES.iter().any(|code| code.class() == c) {
-        Some(c)
-    } else {
-        None
-    }
-}
-
-/// A full code string (`D002`), matched against the released set.
-fn parse_code(entry: &str) -> Option<Code> {
-    ALL_CODES.iter().copied().find(|c| c.to_string() == entry)
-}
 
 /// One finding: a stable code, its severity, where it was found, and a
 /// human-readable explanation with the offending values.
@@ -625,58 +483,6 @@ mod tests {
         for &code in ALL_CODES {
             assert!(!code.description().is_empty());
             let _ = code.severity();
-            assert!(
-                "CTSEDUPA".contains(code.class()),
-                "unexpected class for {code}"
-            );
         }
-    }
-
-    #[test]
-    fn default_gate_denies_exactly_errors() {
-        let gate = Gate::default();
-        assert!(gate.is_deny(&Diagnostic::new(Code::D001, "a", "x")));
-        assert!(!gate.is_deny(&Diagnostic::new(Code::U002, "a", "x")));
-        assert!(!gate.is_deny(&Diagnostic::new(Code::U004, "a", "x")));
-    }
-
-    #[test]
-    fn deny_promotes_classes_codes_and_warnings() {
-        let gate = Gate::parse(Some("U002"), None).unwrap();
-        assert!(gate.is_deny(&Diagnostic::new(Code::U002, "a", "x")));
-        assert!(!gate.is_deny(&Diagnostic::new(Code::U004, "a", "x")));
-
-        let gate = Gate::parse(Some("U"), None).unwrap();
-        assert!(gate.is_deny(&Diagnostic::new(Code::U004, "a", "x")));
-
-        let gate = Gate::parse(Some("warnings"), None).unwrap();
-        assert!(gate.is_deny(&Diagnostic::new(Code::S006, "a", "x")));
-        assert!(!gate.is_deny(&Diagnostic::new(Code::U004, "a", "x")));
-    }
-
-    #[test]
-    fn allow_demotes_and_wins_over_deny() {
-        let gate = Gate::parse(Some("D"), Some("D002")).unwrap();
-        assert!(gate.is_deny(&Diagnostic::new(Code::D001, "a", "x")));
-        assert!(!gate.is_deny(&Diagnostic::new(Code::D002, "a", "x")));
-
-        let gate = Gate::parse(None, Some("T")).unwrap();
-        assert!(!gate.is_deny(&Diagnostic::new(Code::T001, "a", "x")));
-    }
-
-    #[test]
-    fn gate_rejects_unknown_entries() {
-        assert!(Gate::parse(Some("X001"), None).is_err());
-        assert!(Gate::parse(None, Some("warnings")).is_err());
-        assert!(Gate::parse(Some("d002"), None).is_err());
-    }
-
-    #[test]
-    fn gate_counts_deny_level_findings() {
-        let mut r = LintReport::new();
-        r.push(Diagnostic::new(Code::D001, "a", "x"));
-        r.push(Diagnostic::new(Code::U004, "b", "y"));
-        assert_eq!(Gate::default().count_deny(&r), 1);
-        assert_eq!(Gate::parse(Some("U"), None).unwrap().count_deny(&r), 2);
     }
 }

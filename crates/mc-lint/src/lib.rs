@@ -1,6 +1,6 @@
-//! mc-lint — static analysis and diagnostics for the chebymc workspace.
+//! mc-lint — static analysis and diagnostics for chebymc's inputs.
 //!
-//! Three lint passes feed one diagnostics framework:
+//! Six lint passes feed one diagnostics framework:
 //!
 //! * [`cfg_pass`] analyses [`mc_exec::cfg::Cfg`] structure — dominators
 //!   (Cooper–Harvey–Kennedy), natural loops, reducibility, reachability,
@@ -20,12 +20,10 @@
 //! * [`automotive_pass`] checks the automotive workload family (`A0xx`):
 //!   the baked-in Bosch period/share and factor tables, per-bin Weibull
 //!   feasibility, and the campaign's `AutomotiveConfig`.
-//! * [`source_pass`] audits the workspace's *own Rust sources* for
-//!   determinism and soundness hazards (`D0xx`/`U0xx`): unordered hash
-//!   iteration, wall-clock reads, unseeded randomness, unordered float
-//!   reduction, undocumented `unsafe` and panics, truncating float
-//!   casts. Driven by `chebymc lint --source` with a checked-in
-//!   `lint.toml` allowlist.
+//!
+//! The workspace's own Rust sources are not linted here: clippy checks
+//! them, under the root `clippy.toml` and the lints each crate root
+//! enables (DESIGN.md §13).
 //!
 //! Diagnostics carry stable codes ([`Code`]), fixed severities
 //! ([`Severity`]), and a source label; a [`LintReport`] renders either for
@@ -39,6 +37,11 @@
 //! being rejected at parse time.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::undocumented_unsafe_blocks,
+    clippy::cast_possible_truncation
+)]
 
 pub mod automotive_pass;
 pub mod cfg_pass;
@@ -46,18 +49,14 @@ pub mod diag;
 pub mod exp_pass;
 pub mod policy_pass;
 pub mod scheme_pass;
-pub mod source_pass;
 pub mod task_pass;
 
 pub use automotive_pass::{lint_automotive_config, lint_automotive_tables};
 pub use cfg_pass::{analyze_structure, lint_cfg, CfgStructure};
-pub use diag::{Code, Diagnostic, Gate, LintReport, Severity, ALL_CODES};
+pub use diag::{Code, Diagnostic, LintReport, Severity, ALL_CODES};
 pub use exp_pass::{lint_campaign, CampaignCheck};
 pub use policy_pass::lint_policy_roster;
 pub use scheme_pass::{lint_ga_config, lint_generator_config, lint_problem_config};
-pub use source_pass::{
-    collect_workspace_files, lint_source_file, lint_workspace_sources, Allowlist, SourceAudit,
-};
 pub use task_pass::lint_taskset;
 
 use mc_exec::cfg::Cfg;

@@ -42,6 +42,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::undocumented_unsafe_blocks,
+    clippy::cast_possible_truncation
+)]
 
 pub mod summary;
 
@@ -122,6 +127,10 @@ impl From<std::io::Error> for ObsError {
 /// (including negatives and non-finite values), else `floor(log2(v)) + 1`
 /// clamped to the last bucket.
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a finite v >= 1 has floor(log2(v)) in [0, 1024), and the clamp keeps the index below HIST_BUCKETS"
+)]
 pub fn bucket_index(v: f64) -> usize {
     // NaN, negatives and sub-1.0 samples all land in the underflow bucket.
     if v.is_nan() || v < 1.0 {
@@ -137,6 +146,10 @@ pub fn bucket_index(v: f64) -> usize {
 /// Inclusive lower edge of bucket `i`: `0.0` for the underflow bucket,
 /// else `2^(i-1)`.
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "callers pass bucket indices, which stay below HIST_BUCKETS"
+)]
 pub fn bucket_floor(i: usize) -> f64 {
     if i == 0 {
         0.0
@@ -195,6 +208,10 @@ struct Global {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static GLOBAL: OnceLock<Global> = OnceLock::new();
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the trace clock timestamps observability events; traces are diagnostics, not results"
+)]
 fn global() -> &'static Global {
     GLOBAL.get_or_init(|| Global {
         start: Instant::now(),
@@ -233,6 +250,10 @@ pub fn is_enabled() -> bool {
 /// Nanoseconds since the process-wide trace clock started (first use of
 /// the sink). Monotonic; shared by every thread.
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a u64 of nanoseconds spans 584 years of process uptime"
+)]
 pub fn now_ns() -> u64 {
     global().start.elapsed().as_nanos() as u64
 }

@@ -74,6 +74,10 @@ impl HistStat {
         if self.count == 0 {
             return 0.0;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "q is clamped to [0, 1], so the rounded-up product lies in [1, count]"
+        )]
         let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
@@ -146,6 +150,13 @@ impl TraceSummary {
     /// The trace must carry a `meta` record with the current
     /// [`TRACE_SCHEMA_VERSION`]; unknown record kinds are rejected so
     /// schema drift fails loudly instead of silently dropping data.
+    ///
+    /// # Errors
+    ///
+    /// [`ObsError::Parse`], naming the line, for malformed JSON, a missing
+    /// or mistyped field, an integer field (schema, thread id, timestamp,
+    /// count, bucket) that is not written as an integer in `[0, 2⁶⁴)`,
+    /// and a total that overflows a `u64`.
     pub fn parse(text: &str) -> Result<Self, ObsError> {
         let mut schema = None;
         let mut events = 0u64;
@@ -174,9 +185,14 @@ impl TraceSummary {
                 line: lineno,
                 reason,
             };
+            let sum = |total: u64, n: u64, name: &str| {
+                total
+                    .checked_add(n)
+                    .ok_or_else(|| fail(format!("the total of {name:?} overflows a u64")))
+            };
             match kind {
                 "meta" => {
-                    let v = fields.num_field("schema").map_err(fail)? as u64;
+                    let v = fields.int_field("schema").map_err(fail)?;
                     if v != TRACE_SCHEMA_VERSION {
                         return Err(ObsError::Parse {
                             line: lineno,
@@ -190,16 +206,16 @@ impl TraceSummary {
                 "span" => {
                     events += 1;
                     let name = fields.str_field("name").map_err(fail)?;
-                    let tid = fields.num_field("tid").map_err(fail)? as u64;
-                    let t0 = fields.num_field("t0").map_err(fail)? as u64;
-                    let t1 = fields.num_field("t1").map_err(fail)? as u64;
+                    let tid = fields.int_field("tid").map_err(fail)?;
+                    let t0 = fields.int_field("t0").map_err(fail)?;
+                    let t1 = fields.int_field("t1").map_err(fail)?;
                     let dur = t1.saturating_sub(t0);
                     t_min = t_min.min(t0);
                     t_max = t_max.max(t1);
                     match spans.iter_mut().find(|s| s.name == name) {
                         Some(s) => {
                             s.count += 1;
-                            s.total_ns += dur;
+                            s.total_ns = sum(s.total_ns, dur, name)?;
                             s.min_ns = s.min_ns.min(dur);
                             s.max_ns = s.max_ns.max(dur);
                             s.tids.insert(tid);
@@ -217,9 +233,9 @@ impl TraceSummary {
                 "ctr" => {
                     events += 1;
                     let name = fields.str_field("name").map_err(fail)?;
-                    let n = fields.num_field("n").map_err(fail)? as u64;
+                    let n = fields.int_field("n").map_err(fail)?;
                     match counters.iter_mut().find(|c| c.name == name) {
-                        Some(c) => c.total += n,
+                        Some(c) => c.total = sum(c.total, n, name)?,
                         None => counters.push(CounterStat {
                             name: name.to_owned(),
                             total: n,
@@ -229,7 +245,7 @@ impl TraceSummary {
                 "val" => {
                     events += 1;
                     let name = fields.str_field("name").map_err(fail)?;
-                    let t = fields.num_field("t").map_err(fail)? as u64;
+                    let t = fields.int_field("t").map_err(fail)?;
                     let v = fields.num_field("v").map_err(fail)?;
                     t_min = t_min.min(t);
                     t_max = t_max.max(t);
@@ -277,22 +293,24 @@ impl TraceSummary {
                                 reason: "histogram buckets must be [index, count] pairs".into(),
                             });
                         };
-                        let (Some(Val::Num(i)), Some(Val::Num(c))) = (pair.first(), pair.get(1))
+                        let (Some(Val::Int(i)), Some(&Val::Int(c))) = (pair.first(), pair.get(1))
                         else {
                             return Err(ObsError::Parse {
                                 line: lineno,
-                                reason: "histogram bucket pair must hold two numbers".into(),
+                                reason: "histogram bucket pair must hold two integers".into(),
                             });
                         };
-                        let i = *i as usize;
-                        if i >= HIST_BUCKETS {
+                        let Some(bucket) = usize::try_from(*i)
+                            .ok()
+                            .and_then(|i| stat.buckets.get_mut(i))
+                        else {
                             return Err(ObsError::Parse {
                                 line: lineno,
                                 reason: format!("bucket index {i} out of range"),
                             });
-                        }
-                        stat.buckets[i] += *c as u64;
-                        stat.count += *c as u64;
+                        };
+                        *bucket = sum(*bucket, c, name)?;
+                        stat.count = sum(stat.count, c, name)?;
                     }
                 }
                 other => {
@@ -467,6 +485,9 @@ fn fmt_ns(ns: f64) -> String {
 /// A parsed JSON value — exactly the subset the sink emits.
 #[derive(Debug, Clone)]
 enum Val {
+    /// A number written as plain decimal digits that fits a `u64`: the
+    /// form the sink writes every integer in.
+    Int(u64),
     Num(f64),
     Str(String),
     Arr(Vec<Val>),
@@ -490,7 +511,16 @@ impl Fields {
     fn num_field(&self, key: &str) -> Result<f64, String> {
         match self.get(key) {
             Some(Val::Num(n)) => Ok(*n),
+            Some(&Val::Int(n)) => Ok(n as f64),
             Some(_) => Err(format!("field {key:?} is not a number")),
+            None => Err(format!("missing field {key:?}")),
+        }
+    }
+
+    fn int_field(&self, key: &str) -> Result<u64, String> {
+        match self.get(key) {
+            Some(&Val::Int(n)) => Ok(n),
+            Some(_) => Err(format!("field {key:?} is not an integer in [0, 2^64)")),
             None => Err(format!("missing field {key:?}")),
         }
     }
@@ -616,6 +646,11 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "number is not utf-8".to_owned())?;
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Val::Int(n));
+            }
+        }
         text.parse::<f64>()
             .map(Val::Num)
             .map_err(|e| format!("bad number {text:?}: {e}"))

@@ -241,6 +241,10 @@ pub(crate) struct Provenance {
 }
 
 impl Provenance {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "population and genome indices stay far below u32::MAX"
+    )]
     fn child_of(parent: usize) -> Self {
         Provenance {
             parent: parent as u32,
@@ -393,7 +397,6 @@ pub(crate) fn run_ga<B: EvalBackend>(
     let mut history = Vec::with_capacity(cfg.generations);
 
     for generation in 0..cfg.generations {
-        let _gen_span = mc_obs::span("ga.generation");
         // Track statistics and the all-time best.
         let mut gen_best = f64::NEG_INFINITY;
         let mut sum = 0.0;
@@ -410,10 +413,6 @@ pub(crate) fn run_ga<B: EvalBackend>(
             best: gen_best,
             mean: sum / pop_n as f64,
         });
-        // Stream the per-generation stats we already computed into the
-        // trace, so convergence is visible without post-processing history.
-        mc_obs::value("ga.gen_best", gen_best);
-        mc_obs::value("ga.gen_mean", sum / pop_n as f64);
 
         // Elitism: carry the top individuals over unchanged, scores
         // included.
@@ -443,11 +442,19 @@ pub(crate) fn run_ga<B: EvalBackend>(
             child2.copy_from_slice(pop.genome(b));
             let mut pv1 = Provenance::child_of(a);
             let mut pv2 = Provenance::child_of(b);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "population and genome indices stay far below u32::MAX"
+            )]
             if rng.random::<f64>() < cfg.crossover_probability {
                 let (p1, p2) = two_point_crossover(child1, child2, &mut rng);
                 (pv1.x_lo, pv1.x_hi) = (p1 as u32, p2 as u32);
                 (pv2.x_lo, pv2.x_hi) = (p1 as u32, p2 as u32);
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "population and genome indices stay far below u32::MAX"
+            )]
             for (child, pv) in [(&mut *child1, &mut pv1), (child2, &mut pv2)] {
                 if rng.random::<f64>() < cfg.mutation_probability {
                     let g = rng.random_range(0..genes);
@@ -595,6 +602,10 @@ impl<V: Copy + Default> GenomeTable<V> {
             return None;
         }
         let mask = self.slots.len() - 1;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the mask keeps only the low bits, which truncation keeps too"
+        )]
         let mut idx = hash as usize & mask;
         loop {
             let slot = &self.slots[idx];
@@ -616,6 +627,10 @@ impl<V: Copy + Default> GenomeTable<V> {
         let offset = self.arena.len();
         self.arena.extend(key.iter().map(|x| x.to_bits()));
         let mask = self.slots.len() - 1;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the mask keeps only the low bits, which truncation keeps too"
+        )]
         let mut idx = hash as usize & mask;
         while self.slots[idx].offset != EMPTY {
             idx = (idx + 1) & mask;
@@ -646,6 +661,10 @@ impl<V: Copy + Default> GenomeTable<V> {
             if slot.offset == EMPTY {
                 continue;
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the mask keeps only the low bits, which truncation keeps too"
+            )]
             let mut idx = slot.hash as usize & mask;
             while self.slots[idx].offset != EMPTY {
                 idx = (idx + 1) & mask;
@@ -709,7 +728,6 @@ where
         skip: usize,
         stats: &mut EvalStats,
     ) {
-        let _batch_span = mc_obs::span("ga.fitness_batch");
         let genes = pop.genes();
         let flat = pop.as_slice();
         self.pending.clear();
@@ -810,7 +828,6 @@ impl EvalBackend for IncrementalBackend<'_> {
         skip: usize,
         stats: &mut EvalStats,
     ) {
-        let _batch_span = mc_obs::span("ga.fitness_batch");
         let nb = self.cache.n_blocks();
         let n = scores.len();
         let genes = pop.genes();
@@ -1432,6 +1449,7 @@ mod tests {
         fn result_respects_bounds() {
             assert_prop(
                 &PropConfig::named("result_respects_bounds").cases(16),
+                #[expect(clippy::cast_possible_truncation, reason = "a draw below 5")]
                 |rng| (rng.below(1_000), rng.below(5) as usize),
                 |&(seed, extra_genes)| {
                     let bounds: Vec<GeneBounds> = (0..1 + extra_genes)

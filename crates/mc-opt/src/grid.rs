@@ -100,6 +100,10 @@ pub fn exhaustive_search(problem: &WcetProblem, grid: &[f64]) -> Result<Solution
     if dim == 0 {
         return Err(OptError::EmptyChromosome);
     }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the dimension is the HC task count, far below i32::MAX"
+    )]
     let combos = (grid.len() as f64).powi(dim as i32);
     if combos > 1e7 {
         return Err(OptError::InvalidConfig {

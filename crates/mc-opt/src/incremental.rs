@@ -269,6 +269,10 @@ impl ObjectiveCache {
     /// never depends on other blocks, which is what makes per-block
     /// patching sound.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a block spans at most 16 genes"
+    )]
     fn eval_block(&self, b: usize, genome: &[f64]) -> Block {
         let range = self.block_range(b);
         let start = range.start;
@@ -386,6 +390,10 @@ impl ObjectiveCache {
         // The first and last blocks re-folded for the span: a mutated gene
         // outside the span shares a block with it only at its ends.
         let mut folded = (usize::MAX, usize::MAX);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a block spans at most 16 genes"
+        )]
         let mut refold = |b: usize| {
             child_blocks[b] = self.eval_block(b, child);
             blocks_recomputed += 1;

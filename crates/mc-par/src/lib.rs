@@ -40,6 +40,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::undocumented_unsafe_blocks,
+    clippy::cast_possible_truncation
+)]
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -674,6 +679,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the test checks which threads ran the head indices"
+    )]
     fn for_each_while_spreads_costly_head_indices_over_the_lanes() {
         // Indices 0–7 cost 5 ms each; a chunk of 64 / (4·2) = 8 would hand
         // all of them to one lane.

@@ -337,6 +337,10 @@ impl Inner {
             records.clear();
             return false;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "heartbeat liveness needs the wall clock; results come from the deterministic store, whose byte-identity with serial runs the cluster tests assert"
+        )]
         if let Some(w) = worker_id.and_then(|id| hub.workers.get_mut(&id)) {
             w.last_seen = Instant::now();
         }
@@ -403,6 +407,10 @@ impl Inner {
                 };
                 let id = hub.next_worker_id;
                 hub.next_worker_id += 1;
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "heartbeat liveness needs the wall clock; results come from the deterministic store, whose byte-identity with serial runs the cluster tests assert"
+                )]
                 hub.workers.insert(
                     id,
                     WorkerHandle {
@@ -421,6 +429,10 @@ impl Inner {
             Message::Heartbeat => {
                 mc_obs::counter("serve.heartbeats", 1);
                 if let Some(id) = *worker_id {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "heartbeat liveness needs the wall clock; results come from the deterministic store, whose byte-identity with serial runs the cluster tests assert"
+                    )]
                     if let Some(w) = hub.workers.get_mut(&id) {
                         w.last_seen = Instant::now();
                     }
@@ -454,6 +466,10 @@ impl Inner {
             Message::Record { .. } => false,
             Message::LeaseDone { lease } => {
                 let Some(id) = *worker_id else { return false };
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "lease ids index the coordinator's lease table, a Vec"
+                )]
                 hub.lease_done(id, lease as usize);
                 if hub.campaign_complete() {
                     hub.finish();
@@ -557,6 +573,10 @@ impl Hub {
         } else {
             active.leases.reclaim(lease);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "heartbeat liveness needs the wall clock; results come from the deterministic store, whose byte-identity with serial runs the cluster tests assert"
+        )]
         if let Some(w) = self.workers.get_mut(&worker) {
             w.last_seen = Instant::now();
             w.lease = None;

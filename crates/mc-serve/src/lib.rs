@@ -39,6 +39,11 @@
 //! reclaim state machine, and the checkpoint format.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::undocumented_unsafe_blocks,
+    clippy::cast_possible_truncation
+)]
 
 pub mod cluster;
 pub mod coordinator;

@@ -49,6 +49,10 @@ mod tests {
     use std::time::Instant;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test measures that a raised flag cuts a 60 s sleep short"
+    )]
     fn raising_wakes_a_long_sleep_at_once() {
         let flag = Arc::new(StopFlag::default());
         assert!(!flag.sleep(Duration::from_millis(1)), "times out unraised");

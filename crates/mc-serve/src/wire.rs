@@ -111,6 +111,10 @@ pub(crate) fn encode_frame(msg: &Message, out: &mut Vec<u8>) -> Result<(), Serve
         .map_err(|e| ServeError::Protocol(format!("message serialization failed: {e}")))?;
     let mut prefix = Cursor::new([0u8; 24]);
     writeln!(prefix, "{}", out.len() - start)?;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the cursor lies within a 24-byte buffer"
+    )]
     let used = prefix.position() as usize;
     out.splice(start..start, prefix.get_ref()[..used].iter().copied());
     out.push(b'\n');

@@ -204,6 +204,10 @@ fn seeded_death_plans_never_drop_or_double_commit() {
 /// the heartbeat sweeper — EOF never fires, so the timeout is the only
 /// signal — and its lease reclaimed for a live worker.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock deadline bounds the wait for the zombie's lease"
+)]
 fn a_zombie_worker_is_timed_out_and_its_lease_reclaimed() {
     let s = spec(4, 3);
     let disk = SimDisk::new();
@@ -287,6 +291,10 @@ fn a_zombie_worker_is_timed_out_and_its_lease_reclaimed() {
 /// worker's heartbeat thread 5 s, yet a finished campaign must return
 /// (workers joined and all) as soon as its last record is durable.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test measures how long shutdown takes"
+)]
 fn a_long_heartbeat_timeout_does_not_delay_shutdown() {
     let s = spec(4, 3);
     let cfg = LocalClusterConfig {

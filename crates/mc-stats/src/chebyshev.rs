@@ -319,6 +319,7 @@ mod tests {
                 |rng| (units(rng, 1..10), rng.below(10), rng.f64()),
                 |(raw, idx, u_bump)| {
                     let ps = samples(raw, 1, 0.0, 1.0);
+                    #[expect(clippy::cast_possible_truncation, reason = "a draw below 10")]
                     let idx = *idx as usize % ps.len();
                     let base = system_mode_switch_probability(ps.iter().copied()).unwrap();
                     let mut bumped = ps.clone();

@@ -114,6 +114,10 @@ impl Histogram {
             self.overflow += 1;
         } else {
             let width = (self.high - self.low) / self.counts.len() as f64;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "sample lies in [low, high), so the quotient is below the bin count"
+            )]
             let idx = (((sample - self.low) / width) as usize).min(self.counts.len() - 1);
             self.counts[idx] += 1;
         }
@@ -275,6 +279,10 @@ impl Ecdf {
             });
         }
         let n = self.sorted.len();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "q is in [0, 1], so the rank is at most n"
+        )]
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
         Ok(self.sorted[rank - 1])
     }
@@ -409,6 +417,7 @@ mod tests {
         fn histogram_conserves_mass() {
             assert_prop(
                 &PropConfig::named("histogram_conserves_mass"),
+                #[expect(clippy::cast_possible_truncation, reason = "a draw below 31")]
                 |rng| (units(rng, 1..300), rng.below(31) as usize),
                 |(raw, extra_bins)| {
                     let samples = samples(raw, 1, -100.0, 100.0);

@@ -203,6 +203,10 @@ impl std::ops::Deref for CheckedAutomotiveConfig<'_> {
 /// Apportions `runnables` across the nine bins proportionally to
 /// [`SHARE_PERCENT`] using the largest-remainder method (ties broken by
 /// bin index), so counts are exact, deterministic, and sum to `runnables`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "each floor is a whole number in [0, runnables], so its cast is lossless"
+)]
 pub fn allocate_bin_counts(runnables: usize) -> [usize; BIN_COUNT] {
     let mut counts = [0usize; BIN_COUNT];
     let mut remainders = [(0.0f64, 0usize); BIN_COUNT];
@@ -210,7 +214,6 @@ pub fn allocate_bin_counts(runnables: usize) -> [usize; BIN_COUNT] {
     for (b, share) in SHARE_PERCENT.iter().enumerate() {
         let exact = runnables as f64 * share / SHARE_TOTAL;
         let floor = exact.floor();
-        // `floor` is exact and non-negative, so the cast is lossless.
         counts[b] = floor as usize;
         assigned += counts[b];
         remainders[b] = (exact - floor, b);

@@ -802,6 +802,7 @@ mod tests {
         fn uunifast_is_a_probability_partition() {
             assert_prop(
                 &PropConfig::named("uunifast_is_a_probability_partition").cases(32),
+                #[expect(clippy::cast_possible_truncation, reason = "a draw below 29")]
                 |rng| (rng.below(10_000), rng.below(29) as usize, rng.f64()),
                 |&(seed, extra_n, u_total)| {
                     let (n, total) = (1 + extra_n, 0.01 + 0.99 * u_total);

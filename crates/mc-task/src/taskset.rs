@@ -391,6 +391,10 @@ mod tests {
             };
             let c_hi_target = c_lo + period.mul_f64(c_extra_pct as f64 / 100.0 * 0.5);
             let c_hi = c_hi_target.min(period);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "task sets under test hold a few dozen tasks"
+            )]
             let mut b = McTask::builder(TaskId::new(id as u32))
                 .period(period)
                 .c_lo(c_lo);

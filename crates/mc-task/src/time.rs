@@ -76,6 +76,10 @@ impl Duration {
 
     /// Fallible variant of [`Duration::from_secs_f64`]; returns `None` on
     /// negative, non-finite, or out-of-range input.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the checks above keep the rounded value in [0, 2^64)"
+    )]
     pub fn try_from_secs_f64(secs: f64) -> Option<Self> {
         if !secs.is_finite() || secs < 0.0 {
             return None;
@@ -91,6 +95,10 @@ impl Duration {
     /// conservative direction for WCET budgets.
     ///
     /// Returns `None` on negative, non-finite, or out-of-range input.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the checks above keep the rounded value in [0, 2^64)"
+    )]
     pub fn try_from_nanos_f64_ceil(ns: f64) -> Option<Self> {
         if !ns.is_finite() || ns < 0.0 || ns >= u64::MAX as f64 {
             return None;
@@ -149,6 +157,10 @@ impl Duration {
     /// # Panics
     ///
     /// Panics when `factor` is negative or NaN.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the branch above keeps the rounded value in [0, 2^64)"
+    )]
     pub fn mul_f64(self, factor: f64) -> Duration {
         assert!(
             factor.is_finite() && factor >= 0.0,

@@ -154,11 +154,6 @@ def validate_consistency(report, runs):
         check(cell["bit_identical_vs_t1"] is True, f"{where}: bit-identical vs t1")
     sb = report["stage_breakdown"]
     check(sb["ga_run_ns"] > 0 and sb["objective_evals"] > 0, "traced closure run recorded")
-    check(sb["fitness_batch_ns"] <= sb["ga_run_ns"], "closure fitness time within run time")
-    check(
-        sb["incremental_fitness_batch_ns"] <= sb["incremental_ga_run_ns"],
-        "incremental fitness time within run time",
-    )
     check(sb["incremental_delta_evals"] > 0, "traced incremental run delta-evaluated")
 
 

@@ -15,6 +15,8 @@
 //! Workload files are the validated JSON format of
 //! [`mc_task::workload::Workload`].
 
+#![warn(clippy::undocumented_unsafe_blocks, clippy::cast_possible_truncation)]
+
 use chebymc::prelude::*;
 use chebymc::task::workload::Workload;
 use rand::SeedableRng;
@@ -47,20 +49,14 @@ USAGE:
       (block/loop/if; see fixtures/*.prog) and print BCET/ACET/WCET.
 
   chebymc lint [bundle.json] [--workload <w.json>] [--program <p.prog>]
-               [--benchmark <name>|all] [--source] [--root <dir>]
-               [--config <lint.toml>] [--threads <n>] [--deny <spec>]
-               [--allow <spec>] [--format human|json] [--json] [-o <file>]
-      Static analysis: CFG structure (unbounded/irreducible loops,
-      unreachable blocks), task-set invariants, scheme configuration,
-      campaign specs, and — with --source — the workspace's own Rust
-      sources (determinism D0xx and soundness U0xx: unordered hash
-      iteration, wall-clock reads, unseeded randomness, undocumented
-      unsafe/panics, truncating float casts), honouring the checked-in
-      lint.toml allowlist. Diagnostics carry stable codes; the exit
-      status is gated on deny-level findings (Error severity by
-      default). --deny/--allow take comma-separated classes (D),
-      codes (U002), or `warnings`; --allow demotes findings but never
-      removes them from the report.
+               [--benchmark <name>|all] [--format human|json] [--json]
+               [-o <file>]
+      Static analysis of inputs: CFG structure (unbounded/irreducible
+      loops, unreachable blocks), task-set invariants, and scheme,
+      generator and automotive configuration. Diagnostics carry stable
+      codes; the run fails when any finding has error severity. The
+      workspace's own Rust sources are checked by `cargo clippy`
+      instead (root clippy.toml).
 
   chebymc exp list
       List the built-in experiment campaigns.
@@ -455,27 +451,11 @@ fn cmd_wcet(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    // Boolean flags come out before the `--flag value` parser runs.
-    let mut source = false;
-    let mut json_flag = false;
-    let args: Vec<String> = args
-        .iter()
-        .filter(|a| match a.as_str() {
-            "--source" => {
-                source = true;
-                false
-            }
-            "--json" => {
-                json_flag = true;
-                false
-            }
-            _ => true,
-        })
-        .cloned()
-        .collect();
+    // The boolean `--json` comes out before the `--flag value` parser runs.
+    let json_flag = args.iter().any(|a| a == "--json");
+    let args: Vec<String> = args.iter().filter(|a| *a != "--json").cloned().collect();
     let (mut workload, mut program, mut benchmark, mut format, mut out) =
         (None, None, None, None, None);
-    let (mut deny, mut allow, mut threads, mut root, mut config) = (None, None, None, None, None);
     let positional = parse_flags(
         &args,
         &mut [
@@ -483,15 +463,9 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             ("--program", &mut program),
             ("--benchmark", &mut benchmark),
             ("--format", &mut format),
-            ("--deny", &mut deny),
-            ("--allow", &mut allow),
-            ("--threads", &mut threads),
-            ("--root", &mut root),
-            ("--config", &mut config),
             ("-o", &mut out),
         ],
     )?;
-    let gate = chebymc::lint::Gate::parse(deny.as_deref(), allow.as_deref())?;
     if json_flag {
         match format.as_deref() {
             None | Some("json") => format = Some("json".to_string()),
@@ -545,38 +519,9 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         inputs += 1;
     }
-    if source {
-        let root_dir = std::path::PathBuf::from(root.as_deref().unwrap_or("."));
-        let allowlist = match &config {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read `{path}`: {e}"))?;
-                chebymc::lint::Allowlist::parse(&text)?
-            }
-            None => {
-                // The checked-in policy file is picked up when present;
-                // its absence just means "no suppressions".
-                let default = root_dir.join("lint.toml");
-                if default.is_file() {
-                    let text = std::fs::read_to_string(&default)
-                        .map_err(|e| format!("cannot read `{}`: {e}", default.display()))?;
-                    chebymc::lint::Allowlist::parse(&text)?
-                } else {
-                    chebymc::lint::Allowlist::empty()
-                }
-            }
-        };
-        let threads: usize = threads.as_deref().unwrap_or("0").parse()?;
-        let audit = chebymc::lint::lint_workspace_sources(&root_dir, &allowlist, threads)?;
-        eprintln!("source audit: {} files scanned", audit.files_scanned);
-        report.merge(audit.report);
-        inputs += 1;
-    } else if threads.is_some() || root.is_some() || config.is_some() {
-        return Err("--threads/--root/--config only apply with --source".into());
-    }
     if inputs == 0 {
         return Err("lint needs at least one input (bundle, --workload, \
-                    --program, --benchmark, or --source)"
+                    --program, or --benchmark)"
             .into());
     }
 
@@ -586,9 +531,9 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         other => return Err(format!("unknown format `{other}`").into()),
     };
     write_or_print(out, rendered.trim_end())?;
-    let denied = gate.count_deny(&report);
-    if denied > 0 {
-        return Err(format!("lint found {denied} deny-level finding(s)").into());
+    let errors = report.count(chebymc::lint::Severity::Error);
+    if errors > 0 {
+        return Err(format!("lint found {errors} deny-level finding(s)").into());
     }
     Ok(())
 }

@@ -42,6 +42,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::undocumented_unsafe_blocks,
+    clippy::cast_possible_truncation
+)]
 
 pub use chebymc_core as core;
 pub use mc_exec as exec;

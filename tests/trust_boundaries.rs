@@ -1,5 +1,6 @@
 //! Seeded fuzzing of every input that crosses a trust boundary: wire
-//! frames, workload JSON, store files, `.prog` models and `lint.toml`.
+//! frames, workload JSON, store files and `.prog` models, plus fixed
+//! cases for escapes, profiles and trace integers.
 //!
 //! Each property mutates checked-in inputs with bit flips, byte inserts,
 //! deletes, truncations and runs of the format's nesting opener, and
@@ -11,7 +12,8 @@ use chebymc::exec::wcet::analyze;
 use chebymc::exp::catalog::{self, CatalogOptions};
 use chebymc::exp::{run_campaign, Metric, RunConfig, Store, UnitRecord};
 use chebymc::fault::{assert_prop, FaultRng, PropConfig};
-use chebymc::lint::source_pass::Allowlist;
+use chebymc::obs::summary::TraceSummary;
+use chebymc::obs::ObsError;
 use chebymc::serve::{read_frame, Message, ServeError};
 use chebymc::task::workload::Workload;
 use chebymc::task::TaskError;
@@ -239,15 +241,41 @@ fn prog_sources_fail_cleanly() {
     );
 }
 
+/// Every trace integer is read exactly: a negative, fractional,
+/// exponent-form or out-of-range value, a bucket index past the last
+/// bucket, and a total past `u64::MAX` each fail with the 1-based line
+/// that holds them.
 #[test]
-fn lint_allowlists_fail_cleanly() {
-    let allowlist = include_str!("../lint.toml");
-    assert_prop(
-        &PropConfig::named("lint-allowlist").cases(1000),
-        edits,
-        |edits| {
-            let _ = Allowlist::parse(&text(&mutate(allowlist.as_bytes(), edits, b"[")));
-            Ok(())
-        },
-    );
+fn trace_integers_out_of_range_are_refused() {
+    const MAX: &str = "18446744073709551615";
+    let trace = |lines: &[&str]| format!("{{\"k\":\"meta\",\"schema\":1}}\n{}\n", lines.join("\n"));
+    let ctr = |n: &str| format!(r#"{{"k":"ctr","name":"c","tid":0,"n":{n}}}"#);
+    let hist = |bucket: &str| format!(r#"{{"k":"hist","name":"h","tid":0,"buckets":[{bucket}]}}"#);
+    let span = |t1: &str| format!(r#"{{"k":"span","name":"s","tid":0,"t0":0,"t1":{t1}}}"#);
+
+    let sound = trace(&[&ctr(MAX), &hist("[63,2]"), &span("7")]);
+    let summary = TraceSummary::parse(&sound).unwrap();
+    assert_eq!(summary.counter_total("c"), u64::MAX);
+    assert_eq!(summary.hists[0].buckets[63], 2);
+    assert_eq!(summary.span_total_ns("s"), 7);
+
+    let cases = [
+        (trace(&[&ctr("1e19"), &ctr("1e19")]), 2),
+        (trace(&[&ctr(MAX), &ctr("1")]), 3),
+        (trace(&[&ctr("18446744073709551616")]), 2),
+        (trace(&[&ctr("-5")]), 2),
+        (trace(&[&ctr("2.9")]), 2),
+        (trace(&[&hist("[-1,1]")]), 2),
+        (trace(&[&hist("[0.5,1]")]), 2),
+        (trace(&[&hist("[64,1]")]), 2),
+        (trace(&[&hist(&format!("[0,{MAX}],[1,1]"))]), 2),
+        (trace(&[&span("1e300")]), 2),
+        ("{\"k\":\"meta\",\"schema\":1.5}\n".to_owned(), 1),
+    ];
+    for (text, want) in cases {
+        match TraceSummary::parse(&text) {
+            Err(ObsError::Parse { line, .. }) => assert_eq!(line, want, "{text}"),
+            other => panic!("{text} parsed as {other:?}"),
+        }
+    }
 }
