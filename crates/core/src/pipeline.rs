@@ -12,7 +12,7 @@ use crate::metrics::design_metrics;
 use crate::policy::WcetPolicy;
 use crate::CoreError;
 use mc_sched::policy::{PolicySpec, SchedulingPolicy};
-use mc_sched::sim::{simulate, SimConfig};
+use mc_sched::sim::{SharedRuns, SimConfig};
 use mc_task::automotive::{generate_automotive_taskset, AutomotiveConfig};
 use mc_task::generate::{
     generate_hc_taskset, generate_lo_bounded_taskset, generate_mixed_taskset, GeneratorConfig,
@@ -170,16 +170,22 @@ pub struct ArenaEvaluation {
 /// sampling). Unschedulable sets are simulated too — the arena table shows
 /// what *would* happen, and `hc_miss_rate` makes the failure visible.
 ///
+/// The simulation goes through `runs` under `key`, which must name this
+/// set: the entrants raced on one set share every run that no overrun
+/// made policy-dependent, and each gets what a fresh simulation returns.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::Sched`] for an empty task set or a diverging
 /// simulation — campaign runners and `mc-serve` workers report these as
 /// failed units instead of crashing.
-pub fn evaluate_arena_set(
+pub fn evaluate_arena_set<K: Ord + Clone>(
     ts: &mc_task::TaskSet,
     policy: &PolicySpec,
     base: &SimConfig,
     seed: u64,
+    runs: &SharedRuns<K>,
+    key: K,
 ) -> Result<ArenaEvaluation, CoreError> {
     let verdict = {
         let _span = mc_obs::span("pipeline.admit");
@@ -190,7 +196,7 @@ pub fn evaluate_arena_set(
         ..policy.sim_config(ts, base)
     };
     let _span = mc_obs::span("pipeline.simulate");
-    let m = simulate(ts, &cfg)?;
+    let m = runs.simulate(key, ts, &cfg)?;
     let per_hc = |n: u64| {
         if m.hc_released == 0 {
             0.0
@@ -222,24 +228,30 @@ pub enum ArenaWorkload {
 /// applies the WCET-assignment `wcet` policy (re-seeded to `seed`, inner
 /// parallelism pinned to one thread — arena units are already the fan-out
 /// axis; automotive sets keep their Weibull fits), and races `policy` on
-/// it via [`evaluate_arena_set`].
+/// it via [`evaluate_arena_set`], simulating through `runs` under `key`.
 ///
 /// The `policy_arena` and `automotive` campaigns call this with
-/// `seed = derive_set_seed(base, u_index, replica)` — note the seed does
-/// **not** depend on the policy, so every policy in the arena sees
-/// bit-identical task sets and the comparison is paired, not just
-/// distributional.
+/// `seed = derive_set_seed(base, u_index, replica)` and the key
+/// `(u_index, replica)` — note the seed does **not** depend on the policy,
+/// so every policy in the arena sees bit-identical task sets and the
+/// comparison is paired, not just distributional.
 ///
 /// # Errors
 ///
 /// Propagates generation, assignment, admission, and simulation errors.
-pub fn evaluate_arena_one_set(
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the set's coordinates, the policies raced on it and the store its runs share"
+)]
+pub fn evaluate_arena_one_set<K: Ord + Clone>(
     u: f64,
     wcet: &WcetPolicy,
     policy: &PolicySpec,
     workload: &ArenaWorkload,
     seed: u64,
     base: &SimConfig,
+    runs: &SharedRuns<K>,
+    key: K,
 ) -> Result<ArenaEvaluation, CoreError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ts = {
@@ -254,7 +266,7 @@ pub fn evaluate_arena_one_set(
         let _span = mc_obs::span("pipeline.assign");
         reseed(wcet, seed, 1).assign(&mut ts)?;
     }
-    evaluate_arena_set(&ts, policy, base, seed)
+    evaluate_arena_set(&ts, policy, base, seed, runs, key)
 }
 
 #[cfg(test)]
@@ -342,6 +354,8 @@ mod tests {
             &PolicySpec::EdfVdDropAll,
             &arena_sim_base(),
             7,
+            &SharedRuns::new(1),
+            (),
         )
         .unwrap_err();
         assert_eq!(err, CoreError::Sched(mc_sched::SchedError::EmptyTaskSet));
@@ -352,10 +366,28 @@ mod tests {
         let gen = ArenaWorkload::Synthetic(GeneratorConfig::default());
         let wcet = WcetPolicy::ChebyshevUniform { n: 3.0 };
         for policy in PolicySpec::arena_roster() {
-            let a =
-                evaluate_arena_one_set(0.7, &wcet, &policy, &gen, 99, &arena_sim_base()).unwrap();
-            let b =
-                evaluate_arena_one_set(0.7, &wcet, &policy, &gen, 99, &arena_sim_base()).unwrap();
+            let a = evaluate_arena_one_set(
+                0.7,
+                &wcet,
+                &policy,
+                &gen,
+                99,
+                &arena_sim_base(),
+                &SharedRuns::new(1),
+                (),
+            )
+            .unwrap();
+            let b = evaluate_arena_one_set(
+                0.7,
+                &wcet,
+                &policy,
+                &gen,
+                99,
+                &arena_sim_base(),
+                &SharedRuns::new(1),
+                (),
+            )
+            .unwrap();
             assert_eq!(a, b, "{} not reproducible", policy.name());
             assert!((0.0..=1.0).contains(&a.lc_qos), "{}", policy.name());
             assert!((0.0..=1.0).contains(&a.schedulable));
@@ -378,6 +410,8 @@ mod tests {
             &gen,
             seed,
             &arena_sim_base(),
+            &SharedRuns::new(1),
+            (),
         )
         .unwrap();
         let degrade = evaluate_arena_one_set(
@@ -387,6 +421,8 @@ mod tests {
             &gen,
             seed,
             &arena_sim_base(),
+            &SharedRuns::new(1),
+            (),
         )
         .unwrap();
         // Same sets, same sampled execution times ⇒ same switch behaviour.
@@ -412,6 +448,8 @@ mod tests {
             &ArenaWorkload::Automotive(cfg.clone()),
             seed,
             &base,
+            &SharedRuns::new(1),
+            (),
         )
         .unwrap();
         let again = evaluate_arena_one_set(
@@ -421,6 +459,8 @@ mod tests {
             &ArenaWorkload::Automotive(cfg.clone()),
             seed,
             &base,
+            &SharedRuns::new(1),
+            (),
         )
         .unwrap();
         assert_eq!(drop, again, "automotive arena unit not reproducible");
@@ -430,7 +470,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ts = generate_automotive_taskset(0.6, &cfg, &mut rng).unwrap();
         reseed(&wcet, seed, 1).assign(&mut ts).unwrap();
-        let manual = evaluate_arena_set(&ts, &PolicySpec::EdfVdDropAll, &base, seed).unwrap();
+        let manual = evaluate_arena_set(
+            &ts,
+            &PolicySpec::EdfVdDropAll,
+            &base,
+            seed,
+            &SharedRuns::new(1),
+            (),
+        )
+        .unwrap();
         assert_eq!(drop, manual, "one-set wrapper diverged from composition");
         assert!((0.0..=1.0).contains(&drop.lc_qos));
         // An invalid config surfaces as a structured Task error, not a panic.
@@ -445,6 +493,8 @@ mod tests {
             &ArenaWorkload::Automotive(bad),
             seed,
             &base,
+            &SharedRuns::new(1),
+            (),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::Task(_)), "{err:?}");

@@ -14,7 +14,7 @@ use chebymc_core::multi::MultiScheme;
 use chebymc_core::pipeline::{derive_set_seed, evaluate_arena_one_set, ArenaWorkload};
 use chebymc_core::policy::WcetPolicy;
 use mc_sched::policy::{PolicySpec, SchedulingPolicy};
-use mc_sched::sim::{simulate_multi, JobExecModel, MultiSimConfig, SimConfig};
+use mc_sched::sim::{simulate_multi, JobExecModel, MultiSimConfig, SharedRuns, SimConfig};
 use mc_task::automotive::AutomotiveConfig;
 use mc_task::generate::GeneratorConfig;
 use mc_task::multi::{MultiTask, MultiTaskSet};
@@ -231,6 +231,11 @@ pub(super) fn automotive(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
 /// roster's policy-major points over `u_values`, and a runner that races
 /// one entrant on one seeded task set of `workload` (see
 /// [`evaluate_arena_one_set`]), simulating it for `horizon_secs`.
+///
+/// The runner keeps one [`SharedRuns`] store, keyed by the set's grid
+/// position `(u_index, replica)`. The runner fixes the workload, the WCET
+/// policy and the base config, so the key fixes the designed set, and the
+/// entrants raced on it share every run no overrun made policy-dependent.
 fn arena_campaign(
     mut spec: CampaignSpec,
     u_values: Vec<f64>,
@@ -249,6 +254,7 @@ fn arena_campaign(
     }
     spec.points = policy_major_points(roster.iter().map(SchedulingPolicy::name), &u_values);
     let seed = spec.seed;
+    let runs = SharedRuns::new(roster.len());
     Ok(campaign(spec, move |unit, _| {
         let (policy_index, u_index) = split_policy_major(unit, u_values.len());
         // Policy-independent seed: every policy sees the same task sets.
@@ -259,6 +265,8 @@ fn arena_campaign(
             &workload,
             derive_set_seed(seed, u_index, unit.replica),
             &SimConfig::new(Duration::from_secs(horizon_secs)),
+            &runs,
+            (u_index, unit.replica),
         )?;
         Ok(vec![
             Metric::new("schedulable", e.schedulable),
@@ -395,6 +403,8 @@ mod tests {
             &ArenaWorkload::Automotive(cfg),
             derive_set_seed(17, 0, 1),
             &SimConfig::new(Duration::from_secs(AUTOMOTIVE_HORIZON_SECS)),
+            &SharedRuns::new(1),
+            (),
         )
         .unwrap();
         assert_eq!(metrics[4].name, "lc_qos");

@@ -131,13 +131,28 @@ impl SimConfig {
 /// # }
 /// ```
 pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError> {
+    check(ts, cfg)?;
+    simulate_counted(ts, cfg).map(|(metrics, _)| metrics)
+}
+
+/// The checks [`simulate`] makes before it runs anything.
+pub(super) fn check(ts: &TaskSet, cfg: &SimConfig) -> Result<(), SchedError> {
     cfg.validate()?;
     if ts.is_empty() {
         return Err(SchedError::EmptyTaskSet);
     }
+    Ok(())
+}
+
+/// [`simulate`] once [`check`] has passed, also returning the counts the
+/// run emitted.
+pub(super) fn simulate_counted(
+    ts: &TaskSet,
+    cfg: &SimConfig,
+) -> Result<(SimMetrics, WorkCounts), SchedError> {
     let run = run(&dual_plan(ts, cfg), cfg)?;
     let m = &run.levels;
-    Ok(SimMetrics {
+    let metrics = SimMetrics {
         hc_released: m.released_per_level[1],
         lc_released: m.released_per_level[0],
         hc_completed: m.completed_per_level[1],
@@ -152,7 +167,8 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
         time_in_hi: m.time_in_mode[1],
         busy_time: m.busy_time,
         horizon: m.horizon,
-    })
+    };
+    Ok((metrics, run.counts))
 }
 
 /// The plan of a dual-criticality set: LC tasks at level 0, HC tasks at
@@ -251,10 +267,26 @@ pub(super) struct RunMetrics {
     pub degraded: u64,
     /// Overruns contained at task level.
     pub task_level_switches: u64,
+    /// The run's work.
+    pub counts: WorkCounts,
+}
+
+/// The work one run did, as the `mc-obs` counters `sched.sim_events` and
+/// `sched.sim_releases` record it.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct WorkCounts {
     /// Loop iterations, the last one reaching the horizon.
     pub events: u64,
     /// Releases, admitted or rejected.
     pub releases: u64,
+}
+
+impl WorkCounts {
+    /// Adds the counts to the `mc-obs` counters.
+    pub(super) fn emit(self) {
+        mc_obs::counter("sched.sim_events", self.events);
+        mc_obs::counter("sched.sim_releases", self.releases);
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -653,11 +685,12 @@ pub(super) fn run(plan: &Plan<'_>, cfg: &SimConfig) -> Result<RunMetrics, SchedE
         levels: m,
         degraded,
         task_level_switches: contained,
-        events,
-        releases: released,
+        counts: WorkCounts {
+            events,
+            releases: released,
+        },
     };
-    mc_obs::counter("sched.sim_events", run.events);
-    mc_obs::counter("sched.sim_releases", run.releases);
+    run.counts.emit();
     Ok(run)
 }
 
@@ -993,11 +1026,11 @@ mod tests {
                             let plan = dual_plan(ts, &c);
                             let r = run(&plan, &c).unwrap();
                             // At most L + 1 = 3 events per release, plus one.
-                            assert!(r.events <= 1 + 3 * r.releases, "{c:?}");
-                            assert!(r.events <= event_bound(&plan, c.horizon).unwrap());
+                            assert!(r.counts.events <= 1 + 3 * r.counts.releases, "{c:?}");
+                            assert!(r.counts.events <= event_bound(&plan, c.horizon).unwrap());
                             let m = &r.levels;
                             let admitted: u64 = m.released_per_level.iter().sum();
-                            assert_eq!(r.releases, admitted + m.releases_rejected);
+                            assert_eq!(r.counts.releases, admitted + m.releases_rejected);
                             runs += 1;
                         }
                     }

@@ -30,16 +30,23 @@
 //! bound is derived from the horizon and the periods rather than fixed.
 //! Each run adds its counts to the `mc-obs` counters `sched.sim_events`
 //! and `sched.sim_releases`.
+//!
+//! [`SharedRuns`] lets the policies raced on one set share a run: a run
+//! with no mode switch and no contained overrun is the same under every
+//! `lc_policy` and `mode_switch`. A shared run re-emits its counts and
+//! adds one to `sched.sim_shared`.
 
 mod engine;
 mod exec_model;
 mod metrics;
 pub mod multi;
+mod shared;
 
 pub use engine::{simulate, ModeSwitchPolicy, SimConfig};
 pub use exec_model::JobExecModel;
 pub use metrics::{MultiSimMetrics, SimMetrics};
 pub use multi::{simulate_multi, MultiSimConfig};
+pub use shared::SharedRuns;
 
 use serde::{Deserialize, Serialize};
 

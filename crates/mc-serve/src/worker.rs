@@ -3,9 +3,10 @@
 //! coordinator restarts by reconnecting.
 //!
 //! A worker is stateless between sessions: every `Assign` carries the
-//! full spec (the runner is rebuilt from it) and the lease's
+//! full spec (the runner is built from it) and the lease's
 //! already-complete units, so a worker that reconnects — to the same
-//! coordinator or a restarted one — needs no local history. The only
+//! coordinator or a restarted one — needs no local history. Within a
+//! session, consecutive leases of one spec share one runner. The only
 //! state that spans reconnects is the retry budget and the
 //! simulated-death record counter.
 
@@ -286,6 +287,9 @@ fn session_inner(
             return Ok(SessionEnd::Disconnected);
         }
     }
+    // The session's last spec and its runner: the leases of one campaign
+    // share the runner, with whatever it keeps between units.
+    let mut last: Option<(CampaignSpec, Box<dyn UnitRunner + Send + Sync>)> = None;
     loop {
         match read_frame(reader) {
             Ok(Some(Message::Welcome { .. } | Message::Heartbeat)) => {}
@@ -298,7 +302,11 @@ fn session_inner(
                 done,
             })) => {
                 let _lease_span = mc_obs::span("serve.lease");
-                match run_lease(
+                let runner = match last.take() {
+                    Some((held, runner)) if held == spec => runner,
+                    _ => factory.runner_for(&spec)?,
+                };
+                let end = run_lease(
                     lease,
                     &spec,
                     Shard {
@@ -308,10 +316,12 @@ fn session_inner(
                     &done.into_iter().collect(),
                     writer,
                     cfg,
-                    factory,
+                    runner.as_ref(),
                     summary,
                     sent_total,
-                )? {
+                )?;
+                last = Some((spec, runner));
+                match end {
                     LeaseEnd::Streamed => summary.leases += 1,
                     LeaseEnd::Disconnected => return Ok(SessionEnd::Disconnected),
                     LeaseEnd::Died => return Ok(SessionEnd::Died),
@@ -490,11 +500,10 @@ fn run_lease(
     done: &BTreeSet<usize>,
     writer: &Arc<Mutex<TcpStream>>,
     cfg: &WorkerConfig,
-    factory: &dyn RunnerFactory,
+    runner: &dyn UnitRunner,
     summary: &mut WorkerSummary,
     sent_total: &mut u64,
 ) -> Result<LeaseEnd, ServeError> {
-    let runner = factory.runner_for(spec)?;
     let total = spec.total_units();
     let pending: Vec<WorkUnit> = (0..total)
         .filter(|&u| shard.owns(u) && !done.contains(&u))
@@ -664,6 +673,75 @@ mod tests {
             let k = usize::try_from(limit - before).unwrap();
             assert_eq!(conn.bytes, framed(&records(1, 0..k)), "{before}/{limit}");
         }
+    }
+
+    /// Counts `runner_for` calls; its runners report each unit's seed.
+    #[derive(Default)]
+    struct CountingFactory(std::sync::atomic::AtomicUsize);
+
+    impl RunnerFactory for CountingFactory {
+        fn runner_for(
+            &self,
+            _spec: &CampaignSpec,
+        ) -> Result<Box<dyn UnitRunner + Send + Sync>, ExpError> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Ok(Box::new(|unit: &WorkUnit, _: usize| {
+                Ok(vec![Metric::new("seed", unit.seed as f64)])
+            }))
+        }
+    }
+
+    fn tiny_spec(seed: u64) -> CampaignSpec {
+        CampaignSpec {
+            name: "runner-reuse".into(),
+            seed,
+            params: vec![],
+            points: vec![mc_exp::spec::PointSpec::new("p", vec![])],
+            replicas: 6,
+        }
+    }
+
+    #[test]
+    fn a_session_builds_one_runner_per_spec() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = AddrSource::Fixed(listener.local_addr().unwrap().to_string());
+        let factory = CountingFactory::default();
+        // Three stripes of one spec, then a new spec, then the first again.
+        let leases = [(0, 1), (1, 1), (2, 1), (0, 2), (1, 1)];
+        let mut built = Vec::new();
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| run_worker(&addr, &WorkerConfig::default(), &factory));
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let hello = read_frame(&mut reader).unwrap();
+            assert!(matches!(hello, Some(Message::Hello { .. })), "{hello:?}");
+            for (lease, (stripe, seed)) in (0u64..).zip(leases) {
+                let assign = Message::Assign {
+                    lease,
+                    spec: tiny_spec(seed),
+                    shard_index: stripe,
+                    shard_count: 3,
+                    done: vec![],
+                };
+                write_frame(&mut writer, &assign).unwrap();
+                let mut records = 0;
+                loop {
+                    match read_frame(&mut reader).unwrap() {
+                        Some(Message::Record { lease: l, .. }) if l == lease => records += 1,
+                        Some(Message::LeaseDone { lease: l }) if l == lease => break,
+                        Some(Message::Heartbeat) => {}
+                        other => panic!("lease {lease}: unexpected {other:?}"),
+                    }
+                }
+                assert_eq!(records, 2, "lease {lease}");
+                built.push(factory.0.load(std::sync::atomic::Ordering::SeqCst));
+            }
+            write_frame(&mut writer, &Message::Shutdown).unwrap();
+            let summary = worker.join().unwrap().unwrap();
+            assert_eq!(summary.leases, 5);
+        });
+        assert_eq!(built, [1, 1, 1, 2, 3]);
     }
 
     #[test]

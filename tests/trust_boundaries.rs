@@ -10,7 +10,7 @@
 use chebymc::exec::parse::parse_program;
 use chebymc::exec::wcet::analyze;
 use chebymc::exp::catalog::{self, CatalogOptions};
-use chebymc::exp::{run_campaign, Metric, RunConfig, Store, UnitRecord};
+use chebymc::exp::{run_campaign, ExpError, Metric, RunConfig, Store, UnitRecord};
 use chebymc::fault::{assert_prop, FaultRng, PropConfig};
 use chebymc::obs::summary::TraceSummary;
 use chebymc::obs::ObsError;
@@ -173,6 +173,113 @@ fn bad_unicode_escapes_fail_cleanly() {
             "{escape}"
         );
     }
+}
+
+/// Raw control characters a string must escape (RFC 8259 §7).
+const RAW_CONTROLS: [&str; 3] = ["\u{0}", "\u{1}", "\u{1f}"];
+
+/// Numbers outside RFC 8259's grammar: leading zeros and a fraction
+/// without digits.
+const BAD_NUMBERS: [&str; 5] = ["01", "-01", "00", "1.", "1.e5"];
+
+/// `text` with the value after the first `key` replaced by `value`.
+fn with_first_value(text: &str, key: &str, value: &str) -> String {
+    let at = text.find(key).unwrap() + key.len();
+    let end = at + text[at..].find([',', '}']).unwrap();
+    format!("{}{value}{}", &text[..at], &text[end..])
+}
+
+/// A store, a wire frame and a workload that break RFC 8259 fail to
+/// parse: each case puts a raw control character into a string, or a
+/// malformed number where a number stands.
+#[test]
+fn rfc_8259_laxities_are_refused() {
+    let workload = include_str!("../fixtures/synthetic_u075.json");
+    let framed = |payload: &str| format!("{}\n{payload}\n", payload.len());
+    let record = |value: &str| {
+        framed(&format!(
+            r#"{{"Record":{{"lease":0,"record":{{"unit":0,"point":0,"replica":0,"seed":1,"metrics":[{{"name":"m","value":{value}}}]}}}}}}"#
+        ))
+    };
+    let hello = |worker: &str| {
+        framed(&format!(
+            r#"{{"Hello":{{"worker":"{worker}","threads":1}}}}"#
+        ))
+    };
+    let tiny = CatalogOptions {
+        sets: Some(2),
+        points: Some(vec![0.8]),
+        ..CatalogOptions::default()
+    };
+    let c = catalog::build("policy_arena", &tiny).unwrap();
+    let mut store = Store::in_memory(&c.spec);
+    run_campaign(
+        &c.spec,
+        c.runner.as_ref(),
+        &mut store,
+        &RunConfig::default(),
+    )
+    .unwrap();
+    let lines = store.canonical_lines();
+    let (header, records) = lines.split_once('\n').unwrap();
+    let path = std::env::temp_dir().join(format!("chebymc-rfc8259-{}.jsonl", std::process::id()));
+    // Every edit lands in the first record, so a garbled line is never
+    // dropped as a torn tail.
+    let load = |edited: String| {
+        std::fs::write(&path, format!("{header}\n{edited}")).unwrap();
+        Store::load(&path, None)
+    };
+    let malformed = |e: &ExpError| {
+        let ExpError::Store { detail, .. } = e else {
+            return false;
+        };
+        detail.contains("does not parse")
+    };
+    let bad_json = |w: Result<Workload, TaskError>| {
+        let reason = "workload JSON is malformed";
+        matches!(w, Err(TaskError::InvalidGeneratorConfig { reason: r }) if r == reason)
+    };
+    let protocol =
+        |m: Result<Option<Message>, ServeError>| matches!(m, Err(ServeError::Protocol(_)));
+
+    // The same spots take sound input.
+    assert!(Workload::load_json(workload).is_ok());
+    assert!(matches!(
+        read_frame(&mut hello("w").as_bytes()),
+        Ok(Some(_))
+    ));
+    assert!(matches!(
+        read_frame(&mut record("1e05").as_bytes()),
+        Ok(Some(_))
+    ));
+    assert_eq!(
+        load(records.to_string()).unwrap().records(),
+        store.records()
+    );
+    for raw in RAW_CONTROLS {
+        let named = workload.replacen("synthetic-", &format!("synthetic{raw}-"), 1);
+        assert!(bad_json(Workload::load_json(&named)), "{raw:?}");
+        assert!(
+            protocol(read_frame(&mut hello(&format!("w{raw}")).as_bytes())),
+            "{raw:?}"
+        );
+        let stored = load(records.replacen(r#""name":""#, &format!(r#""name":"{raw}"#), 1));
+        assert!(stored.as_ref().is_err_and(malformed), "{raw:?}: {stored:?}");
+    }
+    for number in BAD_NUMBERS {
+        let acet = with_first_value(workload, r#""acet": "#, number);
+        assert!(bad_json(Workload::load_json(&acet)), "{number}");
+        assert!(
+            protocol(read_frame(&mut record(number).as_bytes())),
+            "{number}"
+        );
+        let stored = load(with_first_value(records, r#""value":"#, number));
+        assert!(
+            stored.as_ref().is_err_and(malformed),
+            "{number}: {stored:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
