@@ -2,8 +2,7 @@
 //!
 //! The crate exposes a process-wide event sink that records **spans**
 //! (RAII-guarded intervals with monotonic nanosecond timestamps),
-//! **counters** (monotone `u64` accumulators), **values** (raw `f64`
-//! samples, e.g. per-generation GA fitness) and **histograms** (`f64`
+//! **counters** (monotone `u64` accumulators) and **histograms** (`f64`
 //! samples bucketed into fixed log-scale, power-of-two buckets), and
 //! writes them as schema-versioned JSONL — one self-contained JSON
 //! object per line.
@@ -158,35 +157,28 @@ pub fn bucket_floor(i: usize) -> f64 {
     }
 }
 
-/// One buffered event. Counters and histograms are pre-aggregated per
+/// One buffered span. Counters and histograms are pre-aggregated per
 /// thread (see [`ThreadEvents`]) rather than buffered per call.
-enum Event {
-    Span {
-        name: &'static str,
-        t0: u64,
-        t1: u64,
-    },
-    Value {
-        name: &'static str,
-        t: u64,
-        v: f64,
-    },
+struct Span {
+    name: &'static str,
+    t0: u64,
+    t1: u64,
 }
 
-/// Per-thread event storage. Spans/values keep arrival order; counters
-/// and histograms accumulate into small linear-scan tables (the
+/// Per-thread event storage. Spans keep arrival order; counters and
+/// histograms accumulate into small linear-scan tables (the
 /// instrumentation uses a handful of distinct names, so a `Vec` beats a
 /// hash map here and keeps the crate dependency-free).
 #[derive(Default)]
 struct ThreadEvents {
-    events: Vec<Event>,
+    spans: Vec<Span>,
     counters: Vec<(&'static str, u64)>,
     hists: Vec<(&'static str, Box<[u64; HIST_BUCKETS]>)>,
 }
 
 impl ThreadEvents {
     fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.counters.is_empty() && self.hists.is_empty()
+        self.spans.is_empty() && self.counters.is_empty() && self.hists.is_empty()
     }
 }
 
@@ -328,22 +320,11 @@ fn drain_all(g: &Global, w: &mut (dyn Write + Send)) -> Result<(), ObsError> {
 
 fn write_events(w: &mut (dyn Write + Send), tid: u64, ev: &ThreadEvents) -> Result<(), ObsError> {
     let mut line = String::with_capacity(128);
-    for e in &ev.events {
+    for Span { name, t0, t1 } in &ev.spans {
         line.clear();
-        match e {
-            Event::Span { name, t0, t1 } => {
-                line.push_str("{\"k\":\"span\",\"name\":");
-                push_json_str(&mut line, name);
-                line.push_str(&format!(",\"tid\":{tid},\"t0\":{t0},\"t1\":{t1}}}"));
-            }
-            Event::Value { name, t, v } => {
-                line.push_str("{\"k\":\"val\",\"name\":");
-                push_json_str(&mut line, name);
-                line.push_str(&format!(",\"tid\":{tid},\"t\":{t},\"v\":"));
-                push_json_f64(&mut line, *v);
-                line.push('}');
-            }
-        }
+        line.push_str("{\"k\":\"span\",\"name\":");
+        push_json_str(&mut line, name);
+        line.push_str(&format!(",\"tid\":{tid},\"t0\":{t0},\"t1\":{t1}}}"));
         writeln!(w, "{line}")?;
     }
     for (name, n) in &ev.counters {
@@ -393,17 +374,6 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends `v` as a JSON number. Rust's shortest-roundtrip `{}` format
-/// for finite doubles is valid JSON except that integral values print
-/// without a fraction — which JSON also allows.
-fn push_json_f64(out: &mut String, v: f64) {
-    debug_assert!(
-        v.is_finite(),
-        "non-finite values are filtered before buffering"
-    );
-    out.push_str(&format!("{v}"));
-}
-
 /// Runs `f` against the calling thread's buffer, then auto-flushes the
 /// buffer if it grew past the threshold. Never panics during thread
 /// teardown (events recorded from TLS destructors are dropped).
@@ -412,7 +382,7 @@ fn with_local(f: impl FnOnce(&mut ThreadEvents)) {
         let over = {
             let mut ev = lock(&buf.events);
             f(&mut ev);
-            ev.events.len() >= AUTO_FLUSH_EVENTS
+            ev.spans.len() >= AUTO_FLUSH_EVENTS
         };
         if over {
             // Respect the writer -> events lock order: re-acquire under
@@ -451,7 +421,7 @@ impl Drop for Scope {
                 return;
             }
             let t1 = now_ns();
-            with_local(|ev| ev.events.push(Event::Span { name, t0, t1 }));
+            with_local(|ev| ev.spans.push(Span { name, t0, t1 }));
         }
     }
 }
@@ -480,17 +450,6 @@ pub fn counter(name: &'static str, delta: u64) {
             ev.counters.push((name, delta));
         }
     });
-}
-
-/// Records one raw `f64` sample under `name` (a `val` event with its own
-/// timestamp). Non-finite samples are dropped — JSON cannot carry them.
-#[inline]
-pub fn value(name: &'static str, v: f64) {
-    if !is_enabled() || !v.is_finite() {
-        return;
-    }
-    let t = now_ns();
-    with_local(|ev| ev.events.push(Event::Value { name, t, v }));
 }
 
 /// Adds one sample to the log-scale histogram `name` (see
@@ -586,7 +545,6 @@ mod tests {
             let _span = span("noop.section");
             counter("noop.counter", 7);
             record_f64("noop.hist", 3.5);
-            value("noop.val", 1.0);
         }
         // Install a writer afterwards: the trace must start clean.
         let sink = SharedBuffer::new();
@@ -609,8 +567,6 @@ mod tests {
                 counter("rt.count", 2);
                 record_f64("rt.hist_ns", 1000.0 * (i + 1) as f64);
             }
-            value("rt.best", 0.75);
-            value("rt.best", f64::NAN); // dropped
         }
         shutdown().unwrap();
         let text = sink.take_string();
@@ -622,9 +578,6 @@ mod tests {
         assert_eq!(s.counter_total("rt.count"), 20);
         let hist = s.hists.iter().find(|h| h.name == "rt.hist_ns").unwrap();
         assert_eq!(hist.count, 10);
-        let val = s.values.iter().find(|v| v.name == "rt.best").unwrap();
-        assert_eq!(val.count, 1, "non-finite samples never reach the trace");
-        assert!((val.last - 0.75).abs() < 1e-12);
     }
 
     #[test]

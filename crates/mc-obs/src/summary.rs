@@ -37,24 +37,6 @@ pub struct CounterStat {
     pub total: u64,
 }
 
-/// Aggregated statistics for one value-sample name.
-#[derive(Debug, Clone)]
-pub struct ValueStat {
-    /// Value name as recorded.
-    pub name: String,
-    /// Number of samples.
-    pub count: u64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Arithmetic mean of the samples.
-    pub mean: f64,
-    /// Sample with the latest timestamp.
-    pub last: f64,
-    t_last: u64,
-}
-
 /// Merged log-scale histogram for one name.
 #[derive(Debug, Clone)]
 pub struct HistStat {
@@ -101,8 +83,6 @@ pub struct TraceSummary {
     pub spans: Vec<SpanStat>,
     /// Counter totals, sorted by name.
     pub counters: Vec<CounterStat>,
-    /// Value-sample aggregates, sorted by name.
-    pub values: Vec<ValueStat>,
     /// Histogram aggregates, sorted by name.
     pub hists: Vec<HistStat>,
     /// Earliest timestamp observed in the trace, ns.
@@ -162,7 +142,6 @@ impl TraceSummary {
         let mut events = 0u64;
         let mut spans: Vec<SpanStat> = Vec::new();
         let mut counters: Vec<CounterStat> = Vec::new();
-        let mut values: Vec<ValueStat> = Vec::new();
         let mut hists: Vec<HistStat> = Vec::new();
         let mut t_min = u64::MAX;
         let mut t_max = 0u64;
@@ -242,35 +221,6 @@ impl TraceSummary {
                         }),
                     }
                 }
-                "val" => {
-                    events += 1;
-                    let name = fields.str_field("name").map_err(fail)?;
-                    let t = fields.int_field("t").map_err(fail)?;
-                    let v = fields.num_field("v").map_err(fail)?;
-                    t_min = t_min.min(t);
-                    t_max = t_max.max(t);
-                    match values.iter_mut().find(|s| s.name == name) {
-                        Some(s) => {
-                            s.count += 1;
-                            s.min = s.min.min(v);
-                            s.max = s.max.max(v);
-                            s.mean += (v - s.mean) / s.count as f64;
-                            if t >= s.t_last {
-                                s.t_last = t;
-                                s.last = v;
-                            }
-                        }
-                        None => values.push(ValueStat {
-                            name: name.to_owned(),
-                            count: 1,
-                            min: v,
-                            max: v,
-                            mean: v,
-                            last: v,
-                            t_last: t,
-                        }),
-                    }
-                }
                 "hist" => {
                     events += 1;
                     let name = fields.str_field("name").map_err(fail)?;
@@ -331,7 +281,6 @@ impl TraceSummary {
 
         spans.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
         counters.sort_by(|a, b| a.name.cmp(&b.name));
-        values.sort_by(|a, b| a.name.cmp(&b.name));
         hists.sort_by(|a, b| a.name.cmp(&b.name));
         if t_min == u64::MAX {
             t_min = 0;
@@ -341,7 +290,6 @@ impl TraceSummary {
             events,
             spans,
             counters,
-            values,
             hists,
             t_min,
             t_max,
@@ -407,16 +355,6 @@ impl TraceSummary {
                 let _ = writeln!(out, "  {:<24} {:>14}", c.name, c.total);
             }
         }
-        if !self.values.is_empty() {
-            let _ = writeln!(out, "\nvalues:");
-            for v in &self.values {
-                let _ = writeln!(
-                    out,
-                    "  {:<24} count {:>7}  last {:.6}  mean {:.6}  min {:.6}  max {:.6}",
-                    v.name, v.count, v.last, v.mean, v.min, v.max
-                );
-            }
-        }
         if self.has_serve_events() {
             let _ = writeln!(out, "\ncoordinator health (serve.*):");
             for (label, total) in [
@@ -431,11 +369,14 @@ impl TraceSummary {
                 ),
                 ("leases reclaimed", self.counter_total("serve.reclaims")),
                 ("lease assignments", self.span_count("serve.assign")),
+                ("queued assignments", self.counter_total("serve.queued")),
                 ("lease sessions run", self.span_count("serve.lease")),
                 ("records streamed", self.counter_total("serve.sent")),
             ] {
                 let _ = writeln!(out, "  {label:<24} {total:>14}");
             }
+            let wait = fmt_ns(self.span_total_ns("serve.wait") as f64);
+            let _ = writeln!(out, "  {:<24} {wait:>14}", "worker wait for frames");
         }
         if !self.hists.is_empty() {
             let _ = writeln!(
@@ -488,7 +429,8 @@ enum Val {
     /// A number written as plain decimal digits that fits a `u64`: the
     /// form the sink writes every integer in.
     Int(u64),
-    Num(f64),
+    /// Any other JSON number.
+    Num,
     Str(String),
     Arr(Vec<Val>),
 }
@@ -504,15 +446,6 @@ impl Fields {
         match self.get(key) {
             Some(Val::Str(s)) => Ok(s),
             Some(_) => Err(format!("field {key:?} is not a string")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    fn num_field(&self, key: &str) -> Result<f64, String> {
-        match self.get(key) {
-            Some(Val::Num(n)) => Ok(*n),
-            Some(&Val::Int(n)) => Ok(n as f64),
-            Some(_) => Err(format!("field {key:?} is not a number")),
             None => Err(format!("missing field {key:?}")),
         }
     }
@@ -652,7 +585,7 @@ impl Parser<'_> {
             }
         }
         text.parse::<f64>()
-            .map(Val::Num)
+            .map(|_| Val::Num)
             .map_err(|e| format!("bad number {text:?}: {e}"))
     }
 
@@ -711,8 +644,6 @@ mod tests {
 {"k":"span","name":"exp.unit","tid":0,"t0":100,"t1":1100}
 {"k":"span","name":"exp.unit","tid":1,"t0":200,"t1":700}
 {"k":"span","name":"store.fsync","tid":0,"t0":1100,"t1":1200}
-{"k":"val","name":"ga.gen_best","tid":0,"t":500,"v":0.5}
-{"k":"val","name":"ga.gen_best","tid":0,"t":900,"v":0.875}
 {"k":"ctr","name":"ga.evals","tid":0,"n":40}
 {"k":"ctr","name":"ga.evals","tid":1,"n":2}
 {"k":"hist","name":"par.chunk_ns","tid":1,"buckets":[[3,5],[10,1]]}
@@ -722,19 +653,12 @@ mod tests {
     fn parses_and_aggregates_every_record_kind() {
         let s = TraceSummary::parse(SAMPLE).unwrap();
         assert_eq!(s.schema, 1);
-        assert_eq!(s.events, 8);
+        assert_eq!(s.events, 6);
         assert_eq!(s.span_count("exp.unit"), 2);
         assert_eq!(s.span_total_ns("exp.unit"), 1500);
         assert_eq!(s.span_total_ns("store.fsync"), 100);
         assert_eq!(s.counter_total("ga.evals"), 42);
         assert_eq!(s.wall_ns(), 1100);
-        let best = s.values.iter().find(|v| v.name == "ga.gen_best").unwrap();
-        assert_eq!(best.count, 2);
-        assert!(
-            (best.last - 0.875).abs() < 1e-12,
-            "last sample by timestamp"
-        );
-        assert!((best.mean - 0.6875).abs() < 1e-12);
         let h = s.hists.iter().find(|h| h.name == "par.chunk_ns").unwrap();
         assert_eq!(h.count, 6);
         assert_eq!(h.buckets[3], 5);
@@ -765,7 +689,6 @@ mod tests {
             "exp.unit",
             "counters:",
             "ga.evals",
-            "values:",
             "histograms",
             "par.chunk_ns",
         ] {
@@ -788,6 +711,9 @@ mod tests {
             "{\"k\":\"ctr\",\"name\":\"serve.records\",\"tid\":0,\"n\":25}\n",
             "{\"k\":\"ctr\",\"name\":\"serve.duplicates\",\"tid\":0,\"n\":3}\n",
             "{\"k\":\"ctr\",\"name\":\"serve.reclaims\",\"tid\":0,\"n\":1}\n",
+            "{\"k\":\"ctr\",\"name\":\"serve.queued\",\"tid\":0,\"n\":6}\n",
+            "{\"k\":\"span\",\"name\":\"serve.wait\",\"tid\":1,\"t0\":0,\"t1\":1500}\n",
+            "{\"k\":\"span\",\"name\":\"serve.wait\",\"tid\":1,\"t0\":2000,\"t1\":4000}\n",
         );
         let s = TraceSummary::parse(serve_trace).unwrap();
         assert!(s.has_serve_events());
@@ -797,6 +723,8 @@ mod tests {
             "records accepted",
             "duplicates absorbed",
             "leases reclaimed",
+            "  queued assignments                    6\n",
+            "  worker wait for frames          3.500us\n",
         ] {
             assert!(text.contains(needle), "missing {needle:?}:\n{text}");
         }

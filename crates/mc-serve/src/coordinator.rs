@@ -3,14 +3,21 @@
 //! record through the crash-safe mc-exp store, one group commit per run
 //! of buffered `Record` frames.
 //!
+//! A worker holds at most two leases: the one it runs and one queued
+//! behind it, so it starts its next stripe as soon as it sends
+//! `LeaseDone` instead of waiting for the coordinator to commit the tail
+//! of the last one. `Hub::assign` is the whole assignment rule.
+//!
 //! Concurrency shape: one accept loop ([`Coordinator::run`]), one reader
 //! thread per connection, one sweeper thread for heartbeat timeouts. All
 //! shared state — the worker registry, the lease table, the checkpoint
 //! store — lives in a single `Mutex<Hub>`; every protocol event takes the
 //! lock, mutates, and releases. Frames are small and loopback/LAN-sized,
-//! so writing to a worker under the lock is cheap and keeps the state
-//! machine single-threaded in effect (which is what makes the failover
-//! tests deterministic).
+//! and a worker takes every frame off its connection on a reader thread
+//! of its own (even a queued `Assign` that arrives mid-lease), so writing
+//! to a worker under the lock is cheap and keeps the state machine
+//! single-threaded in effect (which is what makes the failover tests
+//! deterministic).
 //!
 //! Liveness is wall-clock by necessity (heartbeat timeouts cannot be
 //! seed-derived); everything else — which units exist, what a lease owns,
@@ -89,10 +96,15 @@ pub struct ServeOutcome {
     pub completed_units: usize,
 }
 
+/// Leases a worker holds at most: the one it runs and one queued behind
+/// it.
+const HELD_LEASES: usize = 2;
+
+/// A registered worker. The leases it holds are the lease table's
+/// `Assigned(id)` entries.
 struct WorkerHandle {
     stream: TcpStream,
     last_seen: Instant,
-    lease: Option<usize>,
 }
 
 struct Active {
@@ -174,7 +186,7 @@ impl Coordinator {
     pub fn preload(&self, spec: &CampaignSpec) -> Result<(usize, usize), ServeError> {
         let mut hub = self.inner.lock_hub();
         let accepted = hub.activate(spec, &self.inner.cfg)?;
-        hub.assign_idle();
+        hub.assign(None);
         if hub.campaign_complete() {
             hub.finish();
             self.inner.stopping.raise();
@@ -401,30 +413,16 @@ impl Inner {
             return false;
         }
         match msg {
+            // A connection registers once: a second `Hello` would leave
+            // the first registration holding its leases until the sweeper
+            // timed it out.
+            Message::Hello { .. } if worker_id.is_some() => false,
             Message::Hello { .. } => {
                 let Ok(writer) = reply.try_clone() else {
                     return false;
                 };
-                let id = hub.next_worker_id;
-                hub.next_worker_id += 1;
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "heartbeat liveness needs the wall clock; results come from the deterministic store, whose byte-identity with serial runs the cluster tests assert"
-                )]
-                hub.workers.insert(
-                    id,
-                    WorkerHandle {
-                        stream: writer,
-                        last_seen: Instant::now(),
-                        lease: None,
-                    },
-                );
-                *worker_id = Some(id);
-                let ok = hub.send_to(id, &Message::Welcome { worker_id: id });
-                if ok {
-                    hub.try_assign(id);
-                }
-                ok
+                *worker_id = hub.register(writer);
+                worker_id.is_some()
             }
             Message::Heartbeat => {
                 mc_obs::counter("serve.heartbeats", 1);
@@ -452,7 +450,7 @@ impl Inner {
                 };
                 let mut writer = reply;
                 let _ = write_frame(&mut writer, &response);
-                hub.assign_idle();
+                hub.assign(None);
                 if hub.campaign_complete() {
                     hub.finish();
                     drop(hub);
@@ -554,7 +552,8 @@ impl Hub {
     }
 
     /// Handles a worker's claim that its lease is finished. The store is
-    /// the judge: an incomplete claim reclaims the lease instead.
+    /// the judge: an incomplete claim reclaims the lease instead, and only
+    /// a confirmed claim tops the worker up.
     fn lease_done(&mut self, worker: u64, lease: usize) {
         let Some(active) = self.campaign.as_mut() else {
             return;
@@ -568,7 +567,8 @@ impl Hub {
         };
         let total = active.spec.total_units();
         let store = &active.store;
-        if one_shard_progress(total, shard, |u| store.is_complete(u)).is_complete() {
+        let confirmed = one_shard_progress(total, shard, |u| store.is_complete(u)).is_complete();
+        if confirmed {
             active.leases.complete(lease);
         } else {
             active.leases.reclaim(lease);
@@ -579,9 +579,8 @@ impl Hub {
         )]
         if let Some(w) = self.workers.get_mut(&worker) {
             w.last_seen = Instant::now();
-            w.lease = None;
         }
-        self.assign_idle();
+        self.assign(confirmed.then_some(worker));
     }
 
     /// Whether the active campaign has every unit in the store.
@@ -620,7 +619,7 @@ impl Hub {
         self.workers.clear();
     }
 
-    /// Removes a worker and reclaims its lease.
+    /// Removes a worker and reclaims its leases, the queued one too.
     fn drop_worker(&mut self, id: u64, _why: &str) {
         let Some(w) = self.workers.remove(&id) else {
             return;
@@ -634,37 +633,83 @@ impl Hub {
                 mc_obs::counter("serve.reclaims", reclaimed.len() as u64);
             }
         }
-        self.assign_idle();
+        self.assign(None);
     }
 
-    /// Offers leases to every idle worker.
-    fn assign_idle(&mut self) {
+    /// Registers a worker on `stream`, welcomes it and offers it a lease.
+    /// `None` when the welcome could not be written.
+    fn register(&mut self, stream: TcpStream) -> Option<u64> {
+        let id = self.next_worker_id;
+        self.next_worker_id += 1;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "heartbeat liveness needs the wall clock; results come from the deterministic store, whose byte-identity with serial runs the cluster tests assert"
+        )]
+        self.workers.insert(
+            id,
+            WorkerHandle {
+                stream,
+                last_seen: Instant::now(),
+            },
+        );
+        if !self.send_to(id, &Message::Welcome { worker_id: id }) {
+            self.drop_worker(id, "welcome write failed");
+            return None;
+        }
+        self.assign(None);
+        Some(id)
+    }
+
+    /// How many leases worker `id` holds.
+    fn held(&self, id: u64) -> usize {
+        self.campaign.as_ref().map_or(0, |a| {
+            (0..a.leases.count())
+                .filter(|&lease| a.leases.holder(lease) == Some(id))
+                .count()
+        })
+    }
+
+    /// The assignment rule. Every idle worker gets one lease. Then
+    /// `finished`, a worker whose `LeaseDone` the store just confirmed,
+    /// is topped up to one running and one queued lease, while the
+    /// pending leases are at least as many as the registered workers:
+    /// so a worker that registers early cannot take two leases before
+    /// the others connect, and the last leases go one per idle worker.
+    fn assign(&mut self, finished: Option<u64>) {
         let idle: Vec<u64> = self
             .workers
-            .iter()
-            .filter(|(_, w)| w.lease.is_none())
-            .map(|(id, _)| *id)
+            .keys()
+            .copied()
+            .filter(|&id| self.held(id) == 0)
             .collect();
         for id in idle {
-            self.try_assign(id);
+            self.assign_one(id);
+        }
+        if let Some(id) = finished {
+            while self.held(id) < HELD_LEASES
+                && self
+                    .campaign
+                    .as_ref()
+                    .is_some_and(|a| a.leases.pending_count() >= self.workers.len())
+                && self.assign_one(id)
+            {}
         }
     }
 
     /// Assigns the next pending lease to `id`, skipping leases the store
     /// already covers (a resumed checkpoint can complete a lease before
-    /// any worker touches it).
-    fn try_assign(&mut self, id: u64) {
+    /// any worker touches it). A lease assigned behind one the worker
+    /// holds counts as `serve.queued`. `false` when nothing was assigned.
+    fn assign_one(&mut self, id: u64) -> bool {
         loop {
             let Some(active) = self.campaign.as_mut() else {
-                return;
+                return false;
             };
-            if !self.workers.contains_key(&id)
-                || self.workers.get(&id).is_some_and(|w| w.lease.is_some())
-            {
-                return;
+            if !self.workers.contains_key(&id) {
+                return false;
             }
             let Some(lease) = active.leases.assign_next(id) else {
-                return;
+                return false;
             };
             let count = active.leases.count();
             let shard = Shard {
@@ -687,17 +732,18 @@ impl Hub {
                 shard_count: count,
                 done,
             };
+            let queued = self.held(id) > 1;
             let _assign_span = mc_obs::span("serve.assign");
             if self.send_to(id, &msg) {
-                if let Some(w) = self.workers.get_mut(&id) {
-                    w.lease = Some(lease);
+                if queued {
+                    mc_obs::counter("serve.queued", 1);
                 }
-                return;
+                return true;
             }
             // The send failed: the worker is gone; its freshly assigned
             // lease goes straight back.
             self.drop_worker(id, "assign write failed");
-            return;
+            return false;
         }
     }
 
@@ -845,6 +891,125 @@ mod tests {
         let store = &hub.campaign.as_ref().unwrap().store;
         assert!(store.is_complete(1) && !store.is_complete(2));
         assert!(inner.stopping.is_raised());
+    }
+
+    /// Registers `workers` workers on loopback connections, activates an
+    /// 8-unit campaign of 8 leases, and lets the workers finish their
+    /// running leases in turn. Returns every assignment as (worker,
+    /// lease, queued behind a lease the worker holds).
+    fn assignment_log(workers: usize) -> Vec<(u64, usize, bool)> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut hub = memory_hub();
+        // The peers stay open so the hub's writes succeed.
+        let _peers: Vec<TcpStream> = (0..workers)
+            .map(|_| {
+                let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let (conn, _) = listener.accept().unwrap();
+                hub.register(conn).unwrap();
+                peer
+            })
+            .collect();
+        let spec = CampaignSpec {
+            name: "lease-queue".into(),
+            seed: 5,
+            params: vec![],
+            points: vec![mc_exp::spec::PointSpec::new("p", vec![])],
+            replicas: 8,
+        };
+        let cfg = CoordinatorConfig {
+            leases: 8,
+            ..CoordinatorConfig::default()
+        };
+        hub.activate(&spec, &cfg).unwrap();
+        hub.assign(None);
+
+        // Each worker runs its leases in the order they were assigned; one
+        // hub call assigns a worker's leases in ascending order.
+        let mut held: Vec<Vec<usize>> = vec![Vec::new(); workers];
+        let mut log = Vec::new();
+        let mut observe = |hub: &Hub, held: &mut Vec<Vec<usize>>| {
+            let leases = &hub.campaign.as_ref().unwrap().leases;
+            for lease in 0..leases.count() {
+                if let Some(w) = leases.holder(lease) {
+                    let queue = &mut held[usize::try_from(w).unwrap()];
+                    if !queue.contains(&lease) {
+                        log.push((w, lease, !queue.is_empty()));
+                        queue.push(lease);
+                    }
+                }
+            }
+            for (w, queue) in held.iter().enumerate() {
+                assert!(queue.len() <= HELD_LEASES, "worker {w} holds {queue:?}");
+                assert_eq!(hub.held(w as u64), queue.len());
+            }
+        };
+        observe(&hub, &mut held);
+        for turn in 0..64 {
+            if hub.campaign.as_ref().unwrap().leases.all_done() {
+                break;
+            }
+            let w = turn % workers;
+            if held[w].is_empty() {
+                continue;
+            }
+            // Lease `l` of 8 owns unit `l` alone.
+            let lease = held[w].remove(0);
+            hub.accept_records(&mut vec![unit_record(&spec, lease, 0.5)])
+                .unwrap();
+            hub.lease_done(w as u64, lease);
+            observe(&hub, &mut held);
+        }
+        assert!(hub.campaign.as_ref().unwrap().leases.all_done());
+        log
+    }
+
+    #[test]
+    fn a_finished_worker_queues_a_lease_while_there_are_leases_to_spare() {
+        let (f, t) = (false, true);
+        // One worker: every lease after the second is queued behind the
+        // one it runs.
+        assert_eq!(
+            assignment_log(1),
+            [
+                (0, 0, f),
+                (0, 1, f),
+                (0, 2, t),
+                (0, 3, t),
+                (0, 4, t),
+                (0, 5, t),
+                (0, 6, t),
+                (0, 7, t)
+            ]
+        );
+        // Registering assigns one lease each; a worker queues only while
+        // the pending leases are at least as many as the workers, and the
+        // last lease goes to the idle worker.
+        assert_eq!(
+            assignment_log(2),
+            [
+                (0, 0, f),
+                (1, 1, f),
+                (0, 2, f),
+                (0, 3, t),
+                (1, 4, f),
+                (1, 5, t),
+                (0, 6, t),
+                (1, 7, f)
+            ]
+        );
+        assert_eq!(
+            assignment_log(3),
+            [
+                (0, 0, f),
+                (1, 1, f),
+                (2, 2, f),
+                (0, 3, f),
+                (0, 4, t),
+                (1, 5, f),
+                (2, 6, f),
+                (1, 7, f)
+            ]
+        );
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! The coordinator accepts a [`CampaignSpec`](mc_exp::CampaignSpec)
 //! (submitted over the wire or preloaded by the CLI), splits it into
 //! *leases* — the same `i/n` unit striping `chebymc exp run --shard`
-//! uses — and assigns one lease at a time to each connected worker.
+//! uses — and hands each connected worker one lease to run, and, once
+//! the worker has finished a lease, one more queued behind it while
+//! there are leases to spare, so the worker starts its next stripe
+//! without waiting for the coordinator to commit the last one.
 //! Workers recompute nothing the coordinator already holds: an
 //! assignment carries the lease's already-complete unit indices, and the
 //! coordinator's own result store *is* its checkpoint — the
@@ -29,8 +32,9 @@
 //! * [`coordinator`] — the TCP service: accept loop, per-connection
 //!   buffered readers that group-commit records, heartbeat sweeper,
 //!   checkpoint store.
-//! * [`worker`] — the worker loop: connect-with-retry, lease execution
-//!   over an [`mc_par::WorkerPool`], in-order record streaming.
+//! * [`worker`] — the worker loop: connect-with-retry, a reader thread
+//!   that takes frames off the connection as they arrive, lease
+//!   execution over an [`mc_par::WorkerPool`], in-order record streaming.
 //! * [`cluster`] — the in-process "local cluster" harness (coordinator +
 //!   N worker threads over loopback) driven by seed-derived
 //!   [`mc_fault::ClusterPlan`]s, used by `cargo test`.

@@ -2,6 +2,11 @@
 //! [`mc_par::WorkerPool`], stream records back in unit order, survive
 //! coordinator restarts by reconnecting.
 //!
+//! The coordinator may queue a second lease behind the one a worker runs.
+//! A reader thread takes every frame off the connection as it arrives,
+//! so the queued `Assign` waits in memory, and the lease loop starts it
+//! as soon as it has sent the last lease's `LeaseDone`.
+//!
 //! A worker is stateless between sessions: every `Assign` carries the
 //! full spec (the runner is built from it) and the lease's
 //! already-complete units, so a worker that reconnects — to the same
@@ -21,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Builds the unit runner for a spec received in an `Assign`. The CLI
@@ -222,6 +227,14 @@ fn connect_with_retry(
 }
 
 /// One connected session: register, heartbeat, execute assignments.
+///
+/// A thread of its own reads the connection and hands each frame to the
+/// lease loop. The coordinator queues a worker's next `Assign` while the
+/// worker streams its current lease, and it writes that frame from the
+/// thread that reads this connection's records. A lease loop that read
+/// the socket only between leases would leave a large `Assign` unread;
+/// once the socket buffers filled, the coordinator would stop reading
+/// records and the worker would block writing them.
 fn session(
     stream: TcpStream,
     cfg: &WorkerConfig,
@@ -254,19 +267,32 @@ fn session(
         }
     });
 
-    let end = session_inner(&mut reader, &writer, cfg, factory, summary, sent_total);
+    // The channel closes at a clean EOF, a socket error or a malformed
+    // frame: each ends the session as a lost connection.
+    let (frames_tx, frames) = mpsc::channel();
+    let reader_thread = std::thread::spawn(move || {
+        while let Ok(Some(msg)) = read_frame(&mut reader) {
+            if frames_tx.send(msg).is_err() {
+                break;
+            }
+        }
+    });
+
+    let end = session_inner(&frames, &writer, cfg, factory, summary, sent_total);
 
     ended.raise();
     {
+        // Shutting the socket down also ends the reader's blocking read.
         let w = writer.lock().expect("writer poisoned");
         let _ = w.shutdown(Shutdown::Both);
     }
     let _ = heartbeat.join();
+    let _ = reader_thread.join();
     end
 }
 
 fn session_inner(
-    reader: &mut BufReader<TcpStream>,
+    frames: &mpsc::Receiver<Message>,
     writer: &Arc<Mutex<TcpStream>>,
     cfg: &WorkerConfig,
     factory: &dyn RunnerFactory,
@@ -291,16 +317,22 @@ fn session_inner(
     // share the runner, with whatever it keeps between units.
     let mut last: Option<(CampaignSpec, Box<dyn UnitRunner + Send + Sync>)> = None;
     loop {
-        match read_frame(reader) {
-            Ok(Some(Message::Welcome { .. } | Message::Heartbeat)) => {}
-            Ok(Some(Message::Shutdown)) => return Ok(SessionEnd::Shutdown),
-            Ok(Some(Message::Assign {
+        let frame = {
+            let _wait_span = mc_obs::span("serve.wait");
+            frames.recv()
+        };
+        let Ok(msg) = frame else {
+            return Ok(SessionEnd::Disconnected);
+        };
+        match msg {
+            Message::Shutdown => return Ok(SessionEnd::Shutdown),
+            Message::Assign {
                 lease,
                 spec,
                 shard_index,
                 shard_count,
                 done,
-            })) => {
+            } => {
                 let _lease_span = mc_obs::span("serve.lease");
                 let runner = match last.take() {
                     Some((held, runner)) if held == spec => runner,
@@ -327,11 +359,8 @@ fn session_inner(
                     LeaseEnd::Died => return Ok(SessionEnd::Died),
                 }
             }
-            Ok(Some(_)) => {} // out-of-protocol chatter: ignore
-            Ok(None) | Err(ServeError::Io(_) | ServeError::Protocol(_)) => {
-                return Ok(SessionEnd::Disconnected)
-            }
-            Err(e) => return Err(e),
+            // `Welcome`, and out-of-protocol chatter: ignore.
+            _ => {}
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Seeded fuzzing of every input that crosses a trust boundary: wire
 //! frames, workload JSON, store files and `.prog` models, plus fixed
-//! cases for escapes, profiles and trace integers.
+//! cases for escapes, profiles, trace integers, the retired `val` trace
+//! kind and a repeated `Hello`.
 //!
 //! Each property mutates checked-in inputs with bit flips, byte inserts,
 //! deletes, truncations and runs of the format's nesting opener, and
@@ -10,13 +11,22 @@
 use chebymc::exec::parse::parse_program;
 use chebymc::exec::wcet::analyze;
 use chebymc::exp::catalog::{self, CatalogOptions};
+use chebymc::exp::spec::{CampaignSpec, PointSpec, WorkUnit};
+use chebymc::exp::store::ResumeInfo;
+use chebymc::exp::UnitRunner;
 use chebymc::exp::{run_campaign, ExpError, Metric, RunConfig, Store, UnitRecord};
 use chebymc::fault::{assert_prop, FaultRng, PropConfig};
 use chebymc::obs::summary::TraceSummary;
 use chebymc::obs::ObsError;
-use chebymc::serve::{read_frame, Message, ServeError};
+use chebymc::serve::{
+    read_frame, run_worker, write_frame, AddrSource, Coordinator, CoordinatorConfig, Message,
+    RunnerFactory, ServeError, WorkerConfig,
+};
 use chebymc::task::workload::Workload;
 use chebymc::task::TaskError;
+use std::io::BufReader;
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// One raw edit: a kind, a position and an argument. Every triple maps to
 /// a valid edit, so shrinking an edit list never leaves the domain.
@@ -104,6 +114,80 @@ fn wire_frames_fail_cleanly() {
             while let Ok(Some(_)) = read_frame(&mut r) {}
             Ok(())
         },
+    );
+}
+
+/// A connection registers one worker: a repeated `Hello` closes it, and
+/// the registration's lease is reclaimed at once, not when the heartbeat
+/// sweeper would time it out.
+#[test]
+fn a_second_hello_closes_the_connection_and_reclaims_its_lease() {
+    struct SeedFactory;
+    impl RunnerFactory for SeedFactory {
+        fn runner_for(
+            &self,
+            _spec: &CampaignSpec,
+        ) -> Result<Box<dyn UnitRunner + Send + Sync>, ExpError> {
+            Ok(Box::new(|unit: &WorkUnit, _inner: usize| {
+                Ok(vec![Metric::new("seed", (unit.seed % 1000) as f64)])
+            }))
+        }
+    }
+    let spec = CampaignSpec {
+        name: "double-hello".into(),
+        seed: 3,
+        params: vec![],
+        points: vec![PointSpec::new("p", vec![])],
+        replicas: 8,
+    };
+    let coordinator = Coordinator::bind(
+        CoordinatorConfig {
+            leases: 4,
+            heartbeat_timeout: Duration::from_secs(2),
+            ..CoordinatorConfig::default()
+        },
+        Box::new(|spec: &CampaignSpec| Ok((Store::in_memory(spec), ResumeInfo::default()))),
+    )
+    .unwrap();
+    coordinator.preload(&spec).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    let (seen, outcome) = std::thread::scope(|t| {
+        let run = t.spawn(|| coordinator.run());
+        let mut conn = TcpStream::connect(&addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let hello = Message::Hello {
+            worker: "twice".into(),
+            threads: 1,
+        };
+        write_frame(&mut conn, &hello).unwrap();
+        write_frame(&mut conn, &hello).unwrap();
+        // Until the coordinator closes the connection (or, if it keeps it
+        // open, until the read times out).
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut seen = Vec::new();
+        while let Ok(Some(msg)) = read_frame(&mut reader) {
+            seen.push(msg);
+        }
+        drop((reader, conn));
+        let cfg = WorkerConfig::default();
+        let worker = run_worker(&AddrSource::Fixed(addr.clone()), &cfg, &SeedFactory).unwrap();
+        assert_eq!(worker.records, 8);
+        (seen, run.join().unwrap().unwrap())
+    });
+    assert!(
+        matches!(
+            seen.as_slice(),
+            [
+                Message::Welcome { worker_id: 0 },
+                Message::Assign { lease: 0, .. }
+            ]
+        ),
+        "{seen:?}"
+    );
+    assert!(outcome.completed);
+    assert_eq!(
+        outcome.reclaims, 1,
+        "lease 0 went back when the socket closed"
     );
 }
 
@@ -384,5 +468,23 @@ fn trace_integers_out_of_range_are_refused() {
             Err(ObsError::Parse { line, .. }) => assert_eq!(line, want, "{text}"),
             other => panic!("{text} parsed as {other:?}"),
         }
+    }
+}
+
+/// The trace schema has three event kinds; a `val` line, a kind the sink
+/// no longer writes, fails with the line that holds it.
+#[test]
+fn a_val_trace_line_is_refused() {
+    let text = concat!(
+        "{\"k\":\"meta\",\"schema\":1}\n",
+        "{\"k\":\"span\",\"name\":\"s\",\"tid\":0,\"t0\":0,\"t1\":7}\n",
+        "{\"k\":\"val\",\"name\":\"ga.gen_best\",\"tid\":0,\"t\":3,\"v\":0.5}\n",
+    );
+    match TraceSummary::parse(text) {
+        Err(ObsError::Parse { line, reason }) => {
+            assert_eq!(line, 3);
+            assert!(reason.contains("\"val\""), "{reason}");
+        }
+        other => panic!("a val line parsed as {other:?}"),
     }
 }
