@@ -13,10 +13,12 @@
 //! 4. running a longest-path dynamic program over the remaining DAG.
 //!
 //! Irreducible graphs and loops without bounds are rejected — exactly the
-//! conditions under which real structural WCET analysers give up.
+//! conditions under which real structural WCET analysers give up. Steps 1
+//! and 2 also yield a graph's [`CfgStructure`] ([`Cfg::structure`]),
+//! which `mc-lint` reads to report those conditions before analysis.
 
 use crate::ExecError;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -71,13 +73,96 @@ struct Node {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct Cfg {
     nodes: Vec<Node>,
     succ: Vec<Vec<usize>>,
     pred: Vec<Vec<usize>>,
     entry: Option<usize>,
     exit: Option<usize>,
+}
+
+/// The serialized fields of a [`Cfg`], read before they are checked to
+/// form a graph.
+#[derive(Deserialize)]
+struct CfgWire {
+    nodes: Vec<Node>,
+    succ: Vec<Vec<usize>>,
+    pred: Vec<Vec<usize>>,
+    entry: Option<usize>,
+    exit: Option<usize>,
+}
+
+/// A read graph keeps what the builder guarantees and every traversal
+/// indexes by: one `succ` and one `pred` row per node, and an entry, exit
+/// and edges inside the node list. Dead nodes and the edges that touch
+/// them are kept, for `mc-lint` to report.
+impl Deserialize for Cfg {
+    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
+        let w = CfgWire::from_value(v)?;
+        let n = w.nodes.len();
+        if w.succ.len() != n || w.pred.len() != n {
+            return Err(DeError::custom(format!(
+                "a Cfg of {n} nodes has {} succ and {} pred rows",
+                w.succ.len(),
+                w.pred.len()
+            )));
+        }
+        let mut indices = w
+            .entry
+            .iter()
+            .chain(&w.exit)
+            .chain(w.succ.iter().chain(&w.pred).flatten());
+        if let Some(i) = indices.find(|&&i| i >= n) {
+            return Err(DeError::custom(format!(
+                "Cfg node index {i} is past its {n} nodes"
+            )));
+        }
+        Ok(Cfg {
+            nodes: w.nodes,
+            succ: w.succ,
+            pred: w.pred,
+            entry: w.entry,
+            exit: w.exit,
+        })
+    }
+}
+
+/// The loop structure of a graph's live part, seen from its entry: what
+/// [`Cfg::wcet`] collapses loops by, and what `mc-lint` reports on. A
+/// dead (collapsed) node has no edges, a dead entry included.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CfgStructure {
+    /// Immediate dominator per node index; `None` for unreachable or dead
+    /// nodes. The entry is its own immediate dominator.
+    pub idom: Vec<Option<usize>>,
+    /// Whether each node is reachable from the entry.
+    pub reachable: Vec<bool>,
+    /// Back edges `(tail, header)`, where the header dominates the tail,
+    /// in reverse postorder of their tails.
+    pub back_edges: Vec<(usize, usize)>,
+    /// Distinct loop headers, in the order of their first back edge.
+    pub headers: Vec<usize>,
+    /// Whether the reachable subgraph is reducible: removing the back
+    /// edges leaves it acyclic.
+    pub reducible: bool,
+}
+
+impl CfgStructure {
+    /// Whether `a` dominates `b` (both must be reachable).
+    #[must_use]
+    pub fn dominates(&self, a: usize, b: usize) -> bool {
+        let mut cur = b;
+        loop {
+            if cur == a {
+                return true;
+            }
+            match self.idom[cur] {
+                Some(parent) if parent != cur => cur = parent,
+                _ => return false,
+            }
+        }
+    }
 }
 
 impl Cfg {
@@ -268,7 +353,7 @@ impl Cfg {
     /// [`ExecError::UnreachableNode`] accordingly.
     pub fn validate(&self) -> Result<(), ExecError> {
         let (entry, exit) = self.entry_exit()?;
-        let reach = self.reachable_from(entry);
+        let (_, reach) = self.reverse_postorder(entry);
         for (i, n) in self.nodes.iter().enumerate() {
             if n.alive && !reach[i] {
                 return Err(ExecError::UnreachableNode { index: i });
@@ -280,54 +365,45 @@ impl Cfg {
         Ok(())
     }
 
-    fn reachable_from(&self, start: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(u) = stack.pop() {
-            for &v in &self.succ[u] {
-                if self.nodes[v].alive && !seen[v] {
-                    seen[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        seen
+    /// The live successors of `u`; a dead node has none.
+    fn live_successors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        let succ: &[usize] = if self.nodes[u].alive {
+            &self.succ[u]
+        } else {
+            &[]
+        };
+        succ.iter().copied().filter(|&v| self.nodes[v].alive)
     }
 
-    /// Reverse postorder over live nodes reachable from the entry.
-    fn reverse_postorder(&self, entry: usize) -> Vec<usize> {
+    /// Reverse postorder over live nodes reachable from the entry, and
+    /// which nodes it reaches.
+    fn reverse_postorder(&self, entry: usize) -> (Vec<usize>, Vec<bool>) {
         let mut post = Vec::new();
-        let mut state = vec![0u8; self.nodes.len()]; // 0 unseen, 1 open, 2 done
-        let mut stack: Vec<(usize, usize)> = vec![(entry, 0)];
-        state[entry] = 1;
-        while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-            if *next < self.succ[u].len() {
-                let v = self.succ[u][*next];
-                *next += 1;
-                if self.nodes[v].alive && state[v] == 0 {
-                    state[v] = 1;
-                    stack.push((v, 0));
+        let mut seen = vec![false; self.nodes.len()];
+        seen[entry] = true;
+        let mut stack = vec![(entry, self.live_successors(entry))];
+        while let Some((u, succs)) = stack.last_mut() {
+            let u = *u;
+            match succs.find(|&v| !seen[v]) {
+                Some(v) => {
+                    seen[v] = true;
+                    stack.push((v, self.live_successors(v)));
                 }
-            } else {
-                state[u] = 2;
-                post.push(u);
-                stack.pop();
+                None => {
+                    post.push(u);
+                    stack.pop();
+                }
             }
         }
         post.reverse();
-        post
+        (post, seen)
     }
 
-    /// Immediate dominators via Cooper–Harvey–Kennedy. Returns
-    /// `idom[node]` (entry maps to itself); dead/unreachable nodes map to
-    /// `usize::MAX`.
-    fn immediate_dominators(&self, entry: usize) -> Vec<usize> {
-        let rpo = self.reverse_postorder(entry);
-        let mut order = vec![usize::MAX; self.nodes.len()];
-        for (i, &n) in rpo.iter().enumerate() {
-            order[n] = i;
-        }
+    /// Immediate dominators via Cooper–Harvey–Kennedy over the reverse
+    /// postorder `rpo` from `entry`, where `order[node]` is the node's
+    /// place in `rpo`. Returns `idom[node]` (entry maps to itself);
+    /// dead/unreachable nodes map to `usize::MAX`.
+    fn immediate_dominators(&self, entry: usize, rpo: &[usize], order: &[usize]) -> Vec<usize> {
         let mut idom = vec![usize::MAX; self.nodes.len()];
         idom[entry] = entry;
         let intersect = |idom: &[usize], order: &[usize], mut a: usize, mut b: usize| {
@@ -353,7 +429,7 @@ impl Cfg {
                     new_idom = if new_idom == usize::MAX {
                         p
                     } else {
-                        intersect(&idom, &order, new_idom, p)
+                        intersect(&idom, order, new_idom, p)
                     };
                 }
                 if new_idom != usize::MAX && idom[u] != new_idom {
@@ -365,35 +441,64 @@ impl Cfg {
         idom
     }
 
-    fn dominates(idom: &[usize], entry: usize, a: usize, mut b: usize) -> bool {
-        // Walk b's dominator chain toward the entry.
-        loop {
-            if a == b {
-                return true;
-            }
-            if b == entry || idom[b] == usize::MAX {
-                return false;
-            }
-            b = idom[b];
-        }
+    /// The graph's loop structure, or `None` while no entry is set.
+    #[must_use]
+    pub fn structure(&self) -> Option<CfgStructure> {
+        self.entry.map(|entry| self.structure_from(entry))
     }
 
-    /// Finds back edges `(latch, header)` relative to the current live
-    /// graph.
-    fn back_edges(&self, entry: usize) -> Vec<(usize, usize)> {
-        let idom = self.immediate_dominators(entry);
-        let mut out = Vec::new();
-        for (u, succs) in self.succ.iter().enumerate() {
-            if !self.nodes[u].alive || idom[u] == usize::MAX && u != entry {
-                continue;
-            }
-            for &v in succs {
-                if self.nodes[v].alive && Self::dominates(&idom, entry, v, u) {
-                    out.push((u, v));
+    fn structure_from(&self, entry: usize) -> CfgStructure {
+        let (rpo, reachable) = self.reverse_postorder(entry);
+        let mut order = vec![usize::MAX; self.nodes.len()];
+        for (i, &u) in rpo.iter().enumerate() {
+            order[u] = i;
+        }
+        let idom = self.immediate_dominators(entry, &rpo, &order);
+        let mut s = CfgStructure {
+            idom: idom
+                .iter()
+                .map(|&d| (d != usize::MAX).then_some(d))
+                .collect(),
+            reachable,
+            back_edges: Vec::new(),
+            headers: Vec::new(),
+            reducible: true,
+        };
+        // Tails in reverse postorder: the order `mc-lint` reports loops
+        // and their latches in. Every other live edge is a forward edge.
+        let n = self.nodes.len();
+        let mut is_header = vec![false; n];
+        let mut forward = vec![Vec::new(); n];
+        let mut indegree = vec![0usize; n];
+        for &u in &rpo {
+            for v in self.live_successors(u) {
+                // A node's dominators come before it in reverse postorder.
+                if order[v] <= order[u] && s.dominates(v, u) {
+                    s.back_edges.push((u, v));
+                    if !std::mem::replace(&mut is_header[v], true) {
+                        s.headers.push(v);
+                    }
+                } else {
+                    forward[u].push(v);
+                    indegree[v] += 1;
                 }
             }
         }
-        out
+        // Kahn's algorithm over the forward edges: a node it cannot
+        // order sits on a cycle with no dominating header.
+        let mut ready: Vec<usize> = rpo.iter().copied().filter(|&u| indegree[u] == 0).collect();
+        let mut ordered = 0;
+        while let Some(u) = ready.pop() {
+            ordered += 1;
+            for &v in &forward[u] {
+                indegree[v] -= 1;
+                if indegree[v] == 0 {
+                    ready.push(v);
+                }
+            }
+        }
+        s.reducible = ordered == rpo.len();
+        s
     }
 
     /// Natural loop of a header: header plus every node that reaches a
@@ -498,7 +603,11 @@ impl Cfg {
         let (entry, exit) = work.entry_exit()?;
         // Each collapse removes at least one live node, so this terminates.
         for _ in 0..=work.nodes.len() {
-            let backs = work.back_edges(entry);
+            let CfgStructure {
+                back_edges: backs,
+                mut headers,
+                ..
+            } = work.structure_from(entry);
             if backs.is_empty() {
                 let alive: Vec<bool> = work.nodes.iter().map(|n| n.alive).collect();
                 return work
@@ -506,9 +615,7 @@ impl Cfg {
                     .ok_or(ExecError::UnreachableNode { index: exit });
             }
             // Group latches per header.
-            let mut headers: Vec<usize> = backs.iter().map(|&(_, h)| h).collect();
             headers.sort_unstable();
-            headers.dedup();
             // Innermost loop = the one with the fewest members.
             let mut chosen: Option<(usize, Vec<usize>, Vec<usize>)> = None;
             for &h in &headers {
@@ -912,6 +1019,47 @@ mod tests {
         g.set_exit(exit).unwrap();
         g.set_loop_bound(header, 7).unwrap();
         assert!(g.to_dot().contains("bound 7"));
+    }
+
+    #[test]
+    fn dominators_of_a_diamond() {
+        // 0 -> {1, 2} -> 3
+        let mut cfg = Cfg::new();
+        let a = cfg.add_node("a", 1);
+        let b = cfg.add_node("b", 1);
+        let c = cfg.add_node("c", 1);
+        let d = cfg.add_node("d", 1);
+        cfg.add_edge(a, b).unwrap();
+        cfg.add_edge(a, c).unwrap();
+        cfg.add_edge(b, d).unwrap();
+        cfg.add_edge(c, d).unwrap();
+        cfg.set_entry(a).unwrap();
+        cfg.set_exit(d).unwrap();
+        let s = cfg.structure().unwrap();
+        assert_eq!(s.idom[0], Some(0));
+        assert_eq!(s.idom[1], Some(0));
+        assert_eq!(s.idom[2], Some(0));
+        assert_eq!(s.idom[3], Some(0), "join point is dominated by the fork");
+        assert!(s.dominates(0, 3));
+        assert!(!s.dominates(1, 3));
+        assert!(s.back_edges.is_empty());
+        assert!(s.reducible);
+    }
+
+    #[test]
+    fn a_read_graph_must_fit_its_node_list() {
+        let (g, _, _) = diamond();
+        let json = serde_json::to_string(&g).unwrap();
+        assert_eq!(serde_json::from_str::<Cfg>(&json).unwrap(), g);
+        for bad in [
+            json.replacen("\"entry\":0", "\"entry\":6", 1),
+            json.replacen("\"exit\":5", "\"exit\":9", 1),
+            json.replacen("[[1],", "[[7],", 1),
+            json.replacen("[[1],", "[", 1),
+        ] {
+            assert_ne!(bad, json);
+            assert!(serde_json::from_str::<Cfg>(&bad).is_err(), "{bad}");
+        }
     }
 
     mod properties {

@@ -1,51 +1,17 @@
-//! CFG structural analysis: dominators, natural loops, reducibility,
-//! reachability, and loop-bound placement (`C0xx` diagnostics).
+//! CFG structural diagnostics (`C0xx`): reachability both ways, loop-bound
+//! placement, reducibility, and edges that touch collapsed blocks.
 //!
-//! The pass re-derives the same structure the WCET analyser in `mc_exec`
-//! relies on — Cooper–Harvey–Kennedy immediate dominators over a reverse
-//! postorder, back edges `u → v` where `v` dominates `u`, natural loops as
-//! back-edge targets — but reports *why* a graph is unanalysable instead of
-//! failing late inside the longest-path computation. A back edge whose
-//! header carries no `set_loop_bound` is an error here ([`Code::C005`]),
-//! not an eventual `ExecError::MissingLoopBound` deep in IPET.
+//! The pass reads the structure the WCET analyser itself derives,
+//! [`Cfg::structure`] — Cooper–Harvey–Kennedy immediate dominators over a
+//! reverse postorder, back edges `u → v` where `v` dominates `u`, their
+//! headers, reducibility — and reports *why* a graph is unanalysable
+//! instead of failing late inside the longest-path computation. A back
+//! edge whose header carries no `set_loop_bound` is an error here
+//! ([`Code::C005`]), not an eventual `ExecError::MissingLoopBound` deep
+//! in IPET.
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use mc_exec::cfg::{Cfg, NodeId};
-
-/// Everything the pass derives about one CFG; exposed so tests (and future
-/// passes) can assert on structure, not just on diagnostics.
-#[derive(Debug, Clone)]
-pub struct CfgStructure {
-    /// Immediate dominator per node index; `None` for unreachable or dead
-    /// nodes. The entry is its own immediate dominator.
-    pub idom: Vec<Option<usize>>,
-    /// Live node indices reachable from the entry.
-    pub reachable: Vec<bool>,
-    /// Back edges `(tail, header)` under the dominance definition.
-    pub back_edges: Vec<(usize, usize)>,
-    /// Distinct loop headers, in discovery order.
-    pub headers: Vec<usize>,
-    /// Whether the reachable subgraph is reducible (removing the dominator
-    /// back edges leaves a DAG).
-    pub reducible: bool,
-}
-
-impl CfgStructure {
-    /// Whether `a` dominates `b` (both must be reachable).
-    #[must_use]
-    pub fn dominates(&self, a: usize, b: usize) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur] {
-                Some(parent) if parent != cur => cur = parent,
-                _ => return false,
-            }
-        }
-    }
-}
 
 /// Human-readable label for a node: `name (nK)`.
 fn label(cfg: &Cfg, idx: usize) -> String {
@@ -63,24 +29,7 @@ fn source(context: &str, cfg: &Cfg, idx: usize) -> String {
     format!("cfg:{context}/{}", label(cfg, idx))
 }
 
-/// Adjacency restricted to live nodes, as raw indices.
-fn live_successors(cfg: &Cfg, idx: usize) -> Vec<usize> {
-    let id = cfg
-        .node_ids()
-        .nth(idx)
-        .expect("index comes from this graph");
-    if !cfg.is_alive(id).unwrap_or(false) {
-        return Vec::new();
-    }
-    cfg.successors(id)
-        .map(|it| {
-            it.filter(|&s| cfg.is_alive(s).unwrap_or(false))
-                .map(NodeId::index)
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
+/// Live predecessors of a live node, as raw indices; a dead node has none.
 fn live_predecessors(cfg: &Cfg, idx: usize) -> Vec<usize> {
     let id = cfg
         .node_ids()
@@ -98,23 +47,6 @@ fn live_predecessors(cfg: &Cfg, idx: usize) -> Vec<usize> {
         .unwrap_or_default()
 }
 
-/// Forward reachability from `start` over live nodes.
-fn reach_forward(cfg: &Cfg, start: usize) -> Vec<bool> {
-    let n = cfg.node_count();
-    let mut seen = vec![false; n];
-    let mut stack = vec![start];
-    seen[start] = true;
-    while let Some(u) = stack.pop() {
-        for v in live_successors(cfg, u) {
-            if !seen[v] {
-                seen[v] = true;
-                stack.push(v);
-            }
-        }
-    }
-    seen
-}
-
 /// Backward reachability to `target` over live nodes.
 fn reach_backward(cfg: &Cfg, target: usize) -> Vec<bool> {
     let n = cfg.node_count();
@@ -130,136 +62,6 @@ fn reach_backward(cfg: &Cfg, target: usize) -> Vec<bool> {
         }
     }
     seen
-}
-
-/// Reverse postorder of the reachable live subgraph rooted at `entry`
-/// (iterative DFS with an explicit child cursor).
-fn reverse_postorder(cfg: &Cfg, entry: usize) -> Vec<usize> {
-    let n = cfg.node_count();
-    let mut visited = vec![false; n];
-    let mut post = Vec::new();
-    let mut stack: Vec<(usize, Vec<usize>, usize)> = vec![(entry, live_successors(cfg, entry), 0)];
-    visited[entry] = true;
-    while let Some((node, succs, cursor)) = stack.last_mut() {
-        if let Some(&next) = succs.get(*cursor) {
-            *cursor += 1;
-            if !visited[next] {
-                visited[next] = true;
-                stack.push((next, live_successors(cfg, next), 0));
-            }
-        } else {
-            post.push(*node);
-            stack.pop();
-        }
-    }
-    post.reverse();
-    post
-}
-
-/// Cooper–Harvey–Kennedy dominator computation over the reachable live
-/// subgraph, plus back-edge discovery and a Kahn-toposort reducibility
-/// check on the remaining forward edges.
-#[must_use]
-pub fn analyze_structure(cfg: &Cfg, entry: usize) -> CfgStructure {
-    let n = cfg.node_count();
-    let rpo = reverse_postorder(cfg, entry);
-    let mut rpo_index = vec![usize::MAX; n];
-    for (i, &node) in rpo.iter().enumerate() {
-        rpo_index[node] = i;
-    }
-    let reachable: Vec<bool> = (0..n).map(|i| rpo_index[i] != usize::MAX).collect();
-
-    let mut idom: Vec<Option<usize>> = vec![None; n];
-    idom[entry] = Some(entry);
-    let intersect = |idom: &[Option<usize>], rpo_index: &[usize], mut a: usize, mut b: usize| {
-        while a != b {
-            while rpo_index[a] > rpo_index[b] {
-                a = idom[a].expect("processed node has an idom");
-            }
-            while rpo_index[b] > rpo_index[a] {
-                b = idom[b].expect("processed node has an idom");
-            }
-        }
-        a
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().skip(1) {
-            let preds: Vec<usize> = live_predecessors(cfg, b)
-                .into_iter()
-                .filter(|&p| reachable[p])
-                .collect();
-            let mut new_idom: Option<usize> = None;
-            for &p in &preds {
-                if idom[p].is_none() {
-                    continue;
-                }
-                new_idom = Some(match new_idom {
-                    None => p,
-                    Some(cur) => intersect(&idom, &rpo_index, p, cur),
-                });
-            }
-            if new_idom.is_some() && idom[b] != new_idom {
-                idom[b] = new_idom;
-                changed = true;
-            }
-        }
-    }
-
-    let structure_probe = CfgStructure {
-        idom: idom.clone(),
-        reachable: reachable.clone(),
-        back_edges: Vec::new(),
-        headers: Vec::new(),
-        reducible: true,
-    };
-    let mut back_edges = Vec::new();
-    let mut headers = Vec::new();
-    for &u in &rpo {
-        for v in live_successors(cfg, u) {
-            if reachable[v] && structure_probe.dominates(v, u) {
-                back_edges.push((u, v));
-                if !headers.contains(&v) {
-                    headers.push(v);
-                }
-            }
-        }
-    }
-
-    // Kahn toposort of the reachable subgraph minus the dominator back
-    // edges: any leftover node sits on a cycle with no dominating header,
-    // i.e. the graph is irreducible.
-    let mut indegree = vec![0usize; n];
-    let mut forward: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &u in &rpo {
-        for v in live_successors(cfg, u) {
-            if reachable[v] && !back_edges.contains(&(u, v)) {
-                forward[u].push(v);
-                indegree[v] += 1;
-            }
-        }
-    }
-    let mut queue: Vec<usize> = rpo.iter().copied().filter(|&u| indegree[u] == 0).collect();
-    let mut emitted = 0usize;
-    while let Some(u) = queue.pop() {
-        emitted += 1;
-        for &v in &forward[u] {
-            indegree[v] -= 1;
-            if indegree[v] == 0 {
-                queue.push(v);
-            }
-        }
-    }
-    let reducible = emitted == rpo.len();
-
-    CfgStructure {
-        idom,
-        reachable,
-        back_edges,
-        headers,
-        reducible,
-    }
 }
 
 /// Lints one CFG. `context` names the graph in diagnostic sources (for a
@@ -303,15 +105,13 @@ pub fn lint_cfg(cfg: &Cfg, context: &str) -> LintReport {
             "no exit block is set; call set_exit before analysis",
         ));
     }
-    let Some(entry) = entry else {
+    let Some(structure) = cfg.structure() else {
         return report; // Reachability and dominance need an entry.
     };
-    let entry_idx = entry.index();
 
-    let forward = reach_forward(cfg, entry_idx);
     for id in cfg.node_ids() {
         let idx = id.index();
-        if cfg.is_alive(id).unwrap_or(false) && !forward[idx] {
+        if cfg.is_alive(id).unwrap_or(false) && !structure.reachable[idx] {
             report.push(Diagnostic::new(
                 Code::C003,
                 source(context, cfg, idx),
@@ -324,7 +124,7 @@ pub fn lint_cfg(cfg: &Cfg, context: &str) -> LintReport {
         for id in cfg.node_ids() {
             let idx = id.index();
             // Only reachable blocks: unreachable ones already carry C003.
-            if cfg.is_alive(id).unwrap_or(false) && forward[idx] && !backward[idx] {
+            if cfg.is_alive(id).unwrap_or(false) && structure.reachable[idx] && !backward[idx] {
                 report.push(Diagnostic::new(
                     Code::C004,
                     source(context, cfg, idx),
@@ -334,7 +134,6 @@ pub fn lint_cfg(cfg: &Cfg, context: &str) -> LintReport {
         }
     }
 
-    let structure = analyze_structure(cfg, entry_idx);
     for &header in &structure.headers {
         let id = cfg
             .node_ids()
@@ -434,31 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn dominators_of_a_diamond() {
-        // 0 -> {1, 2} -> 3
-        let mut cfg = Cfg::new();
-        let a = cfg.add_node("a", 1);
-        let b = cfg.add_node("b", 1);
-        let c = cfg.add_node("c", 1);
-        let d = cfg.add_node("d", 1);
-        cfg.add_edge(a, b).unwrap();
-        cfg.add_edge(a, c).unwrap();
-        cfg.add_edge(b, d).unwrap();
-        cfg.add_edge(c, d).unwrap();
-        cfg.set_entry(a).unwrap();
-        cfg.set_exit(d).unwrap();
-        let s = analyze_structure(&cfg, 0);
-        assert_eq!(s.idom[0], Some(0));
-        assert_eq!(s.idom[1], Some(0));
-        assert_eq!(s.idom[2], Some(0));
-        assert_eq!(s.idom[3], Some(0), "join point is dominated by the fork");
-        assert!(s.dominates(0, 3));
-        assert!(!s.dominates(1, 3));
-        assert!(s.back_edges.is_empty());
-        assert!(s.reducible);
-    }
-
-    #[test]
     fn nested_loops_have_two_headers() {
         // entry -> h1 -> h2 -> b -> h2 ; h2 -> h1 ; h1 -> exit
         let mut cfg = Cfg::new();
@@ -475,7 +249,7 @@ mod tests {
         cfg.add_edge(h1, exit).unwrap();
         cfg.set_entry(entry).unwrap();
         cfg.set_exit(exit).unwrap();
-        let s = analyze_structure(&cfg, 0);
+        let s = cfg.structure().unwrap();
         assert_eq!(s.headers.len(), 2);
         assert!(s.headers.contains(&h1.index()));
         assert!(s.headers.contains(&h2.index()));
@@ -558,7 +332,7 @@ mod tests {
         cfg.add_edge(b, exit).unwrap();
         cfg.set_entry(entry).unwrap();
         cfg.set_exit(exit).unwrap();
-        let s = analyze_structure(&cfg, 0);
+        let s = cfg.structure().unwrap();
         assert!(!s.reducible);
         let report = lint_cfg(&cfg, "irr");
         assert!(report.iter().any(|d| d.code == Code::C006));
@@ -596,7 +370,7 @@ mod tests {
         cfg.add_edge(spin, exit).unwrap();
         cfg.set_entry(entry).unwrap();
         cfg.set_exit(exit).unwrap();
-        let s = analyze_structure(&cfg, 0);
+        let s = cfg.structure().unwrap();
         assert_eq!(s.back_edges, vec![(spin.index(), spin.index())]);
         let report = lint_cfg(&cfg, "selfloop");
         assert!(report.iter().any(|d| d.code == Code::C005));

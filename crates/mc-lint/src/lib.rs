@@ -2,10 +2,10 @@
 //!
 //! Six lint passes feed one diagnostics framework:
 //!
-//! * [`cfg_pass`] analyses [`mc_exec::cfg::Cfg`] structure — dominators
-//!   (Cooper–Harvey–Kennedy), natural loops, reducibility, reachability,
-//!   loop-bound placement — and reports `C0xx` codes *before* WCET
-//!   analysis fails obscurely.
+//! * [`cfg_pass`] reports `C0xx` codes on the structure the WCET
+//!   analyser derives ([`mc_exec::cfg::Cfg::structure`]: dominators,
+//!   loop headers, reducibility) plus reachability and loop-bound
+//!   placement, *before* WCET analysis fails obscurely.
 //! * [`task_pass`] checks task-set invariants and Chebyshev/EDF-VD
 //!   preconditions (`T0xx`).
 //! * [`scheme_pass`] checks GA, problem, and generator configuration
@@ -52,7 +52,7 @@ pub mod scheme_pass;
 pub mod task_pass;
 
 pub use automotive_pass::{lint_automotive_config, lint_automotive_tables};
-pub use cfg_pass::{analyze_structure, lint_cfg, CfgStructure};
+pub use cfg_pass::lint_cfg;
 pub use diag::{Code, Diagnostic, LintReport, Severity, ALL_CODES};
 pub use exp_pass::{lint_campaign, CampaignCheck};
 pub use policy_pass::lint_policy_roster;
@@ -121,12 +121,6 @@ impl LintBundle {
         }
         report
     }
-}
-
-/// Lints a named benchmark's CFG (convenience for `chebymc lint --benchmark`).
-#[must_use]
-pub fn lint_benchmark_cfg(name: &str, cfg: &Cfg) -> LintReport {
-    lint_cfg(cfg, name)
 }
 
 /// Parses a workload JSON *without* revalidation and lints its task set —

@@ -1,11 +1,11 @@
-//! Zero-dependency observability for the chebymc workspace.
+//! Observability for the chebymc workspace.
 //!
 //! The crate exposes a process-wide event sink that records **spans**
 //! (RAII-guarded intervals with monotonic nanosecond timestamps),
 //! **counters** (monotone `u64` accumulators) and **histograms** (`f64`
 //! samples bucketed into fixed log-scale, power-of-two buckets), and
 //! writes them as schema-versioned JSONL — one self-contained JSON
-//! object per line.
+//! object per line, through the vendored `serde` writer.
 //!
 //! # No-op mode
 //!
@@ -168,7 +168,7 @@ struct Span {
 /// Per-thread event storage. Spans keep arrival order; counters and
 /// histograms accumulate into small linear-scan tables (the
 /// instrumentation uses a handful of distinct names, so a `Vec` beats a
-/// hash map here and keeps the crate dependency-free).
+/// hash map here).
 #[derive(Default)]
 struct ThreadEvents {
     spans: Vec<Span>,
@@ -319,59 +319,52 @@ fn drain_all(g: &Global, w: &mut (dyn Write + Send)) -> Result<(), ObsError> {
 }
 
 fn write_events(w: &mut (dyn Write + Send), tid: u64, ev: &ThreadEvents) -> Result<(), ObsError> {
-    let mut line = String::with_capacity(128);
+    let mut line = Vec::with_capacity(128);
     for Span { name, t0, t1 } in &ev.spans {
-        line.clear();
-        line.push_str("{\"k\":\"span\",\"name\":");
-        push_json_str(&mut line, name);
-        line.push_str(&format!(",\"tid\":{tid},\"t0\":{t0},\"t1\":{t1}}}"));
-        writeln!(w, "{line}")?;
+        write_event(w, &mut line, "span", name, tid, |j| {
+            j.field("t0", t0);
+            j.field("t1", t1);
+        })?;
     }
     for (name, n) in &ev.counters {
-        line.clear();
-        line.push_str("{\"k\":\"ctr\",\"name\":");
-        push_json_str(&mut line, name);
-        line.push_str(&format!(",\"tid\":{tid},\"n\":{n}}}"));
-        writeln!(w, "{line}")?;
+        write_event(w, &mut line, "ctr", name, tid, |j| j.field("n", n))?;
     }
     for (name, buckets) in &ev.hists {
-        line.clear();
-        line.push_str("{\"k\":\"hist\",\"name\":");
-        push_json_str(&mut line, name);
-        line.push_str(&format!(",\"tid\":{tid},\"buckets\":["));
-        let mut first = true;
-        for (i, &count) in buckets.iter().enumerate() {
-            if count == 0 {
-                continue;
+        write_event(w, &mut line, "hist", name, tid, |j| {
+            // Sparse: only the non-empty buckets, as `[index, count]`.
+            j.key("buckets");
+            j.begin_array();
+            for (i, &count) in buckets.iter().enumerate() {
+                if count != 0 {
+                    j.element(&(i, count));
+                }
             }
-            if !first {
-                line.push(',');
-            }
-            first = false;
-            line.push_str(&format!("[{i},{count}]"));
-        }
-        line.push_str("]}");
-        writeln!(w, "{line}")?;
+            j.end_array();
+        })?;
     }
     Ok(())
 }
 
-/// Appends `s` as a JSON string literal. Instrumentation names are plain
-/// ASCII identifiers, but escape defensively so the output always parses.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Writes one event line, `{"k":kind,"name":name,"tid":tid,…}`, with the
+/// kind's own fields written by `fields`, reusing `line` as its buffer.
+fn write_event(
+    w: &mut (dyn Write + Send),
+    line: &mut Vec<u8>,
+    kind: &str,
+    name: &str,
+    tid: u64,
+    fields: impl FnOnce(&mut serde::Writer<'_>),
+) -> std::io::Result<()> {
+    line.clear();
+    let mut j = serde::Writer::compact(line);
+    j.begin_object();
+    j.field("k", kind);
+    j.field("name", name);
+    j.field("tid", &tid);
+    fields(&mut j);
+    j.end_object();
+    line.push(b'\n');
+    w.write_all(line)
 }
 
 /// Runs `f` against the calling thread's buffer, then auto-flushes the

@@ -1,13 +1,15 @@
 //! Trace aggregation: parse a JSONL trace back into per-stage statistics.
 //!
-//! The parser is a minimal recursive-descent JSON reader covering exactly
-//! the subset the sink emits (flat objects of strings, numbers and arrays
-//! of numbers) — the crate stays dependency-free in both directions.
-//! [`TraceSummary`] backs both `chebymc trace summary` and the `ga_perf`
-//! stage breakdown.
+//! Each line is read by the vendored `serde_json` into one derived record
+//! type, so a trace is held to the same RFC 8259 grammar, nesting limit,
+//! exact integer reads and refusal of a repeated field as every other
+//! JSON input. [`TraceSummary`] backs both `chebymc trace summary` and the
+//! `ga_perf` stage breakdown.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
+
+use serde::Deserialize;
 
 use crate::{bucket_floor, ObsError, HIST_BUCKETS, TRACE_SCHEMA_VERSION};
 
@@ -133,10 +135,10 @@ impl TraceSummary {
     ///
     /// # Errors
     ///
-    /// [`ObsError::Parse`], naming the line, for malformed JSON, a missing
-    /// or mistyped field, an integer field (schema, thread id, timestamp,
-    /// count, bucket) that is not written as an integer in `[0, 2⁶⁴)`,
-    /// and a total that overflows a `u64`.
+    /// [`ObsError::Parse`], naming the line, for malformed JSON, a
+    /// repeated, missing or mistyped field, an integer field (schema,
+    /// thread id, timestamp, count, bucket) that is not written as an
+    /// integer in `[0, 2⁶⁴)`, and a total that overflows a `u64`.
     pub fn parse(text: &str) -> Result<Self, ObsError> {
         let mut schema = None;
         let mut events = 0u64;
@@ -147,21 +149,12 @@ impl TraceSummary {
         let mut t_max = 0u64;
 
         for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
             let line = raw.trim();
             if line.is_empty() {
                 continue;
             }
-            let fields = parse_flat_object(line).map_err(|reason| ObsError::Parse {
-                line: lineno,
-                reason,
-            })?;
-            let kind = fields.str_field("k").map_err(|reason| ObsError::Parse {
-                line: lineno,
-                reason,
-            })?;
             let fail = |reason: String| ObsError::Parse {
-                line: lineno,
+                line: idx + 1,
                 reason,
             };
             let sum = |total: u64, n: u64, name: &str| {
@@ -169,38 +162,36 @@ impl TraceSummary {
                     .checked_add(n)
                     .ok_or_else(|| fail(format!("the total of {name:?} overflows a u64")))
             };
-            match kind {
+            let record: Record = serde_json::from_str(line).map_err(|e| fail(e.to_string()))?;
+            match record.k.as_str() {
                 "meta" => {
-                    let v = fields.int_field("schema").map_err(fail)?;
+                    let v = required(record.schema, "schema").map_err(fail)?;
                     if v != TRACE_SCHEMA_VERSION {
-                        return Err(ObsError::Parse {
-                            line: lineno,
-                            reason: format!(
-                                "unsupported schema {v} (this build reads {TRACE_SCHEMA_VERSION})"
-                            ),
-                        });
+                        return Err(fail(format!(
+                            "unsupported schema {v} (this build reads {TRACE_SCHEMA_VERSION})"
+                        )));
                     }
                     schema = Some(v);
                 }
                 "span" => {
                     events += 1;
-                    let name = fields.str_field("name").map_err(fail)?;
-                    let tid = fields.int_field("tid").map_err(fail)?;
-                    let t0 = fields.int_field("t0").map_err(fail)?;
-                    let t1 = fields.int_field("t1").map_err(fail)?;
+                    let name = required(record.name, "name").map_err(fail)?;
+                    let tid = required(record.tid, "tid").map_err(fail)?;
+                    let t0 = required(record.t0, "t0").map_err(fail)?;
+                    let t1 = required(record.t1, "t1").map_err(fail)?;
                     let dur = t1.saturating_sub(t0);
                     t_min = t_min.min(t0);
                     t_max = t_max.max(t1);
                     match spans.iter_mut().find(|s| s.name == name) {
                         Some(s) => {
                             s.count += 1;
-                            s.total_ns = sum(s.total_ns, dur, name)?;
+                            s.total_ns = sum(s.total_ns, dur, &name)?;
                             s.min_ns = s.min_ns.min(dur);
                             s.max_ns = s.max_ns.max(dur);
                             s.tids.insert(tid);
                         }
                         None => spans.push(SpanStat {
-                            name: name.to_owned(),
+                            name,
                             count: 1,
                             total_ns: dur,
                             min_ns: dur,
@@ -211,64 +202,40 @@ impl TraceSummary {
                 }
                 "ctr" => {
                     events += 1;
-                    let name = fields.str_field("name").map_err(fail)?;
-                    let n = fields.int_field("n").map_err(fail)?;
+                    let name = required(record.name, "name").map_err(fail)?;
+                    let n = required(record.n, "n").map_err(fail)?;
                     match counters.iter_mut().find(|c| c.name == name) {
-                        Some(c) => c.total = sum(c.total, n, name)?,
-                        None => counters.push(CounterStat {
-                            name: name.to_owned(),
-                            total: n,
-                        }),
+                        Some(c) => c.total = sum(c.total, n, &name)?,
+                        None => counters.push(CounterStat { name, total: n }),
                     }
                 }
                 "hist" => {
                     events += 1;
-                    let name = fields.str_field("name").map_err(fail)?;
-                    let pairs = fields.arr_field("buckets").map_err(fail)?;
+                    let name = required(record.name, "name").map_err(fail)?;
+                    let pairs = required(record.buckets, "buckets").map_err(fail)?;
                     let stat = match hists.iter_mut().find(|h| h.name == name) {
                         Some(h) => h,
                         None => {
                             hists.push(HistStat {
-                                name: name.to_owned(),
+                                name: name.clone(),
                                 count: 0,
                                 buckets: Box::new([0; HIST_BUCKETS]),
                             });
                             hists.last_mut().expect("just pushed")
                         }
                     };
-                    for pair in pairs {
-                        let Val::Arr(pair) = pair else {
-                            return Err(ObsError::Parse {
-                                line: lineno,
-                                reason: "histogram buckets must be [index, count] pairs".into(),
-                            });
-                        };
-                        let (Some(Val::Int(i)), Some(&Val::Int(c))) = (pair.first(), pair.get(1))
-                        else {
-                            return Err(ObsError::Parse {
-                                line: lineno,
-                                reason: "histogram bucket pair must hold two integers".into(),
-                            });
-                        };
-                        let Some(bucket) = usize::try_from(*i)
+                    for (i, c) in pairs {
+                        let Some(bucket) = usize::try_from(i)
                             .ok()
                             .and_then(|i| stat.buckets.get_mut(i))
                         else {
-                            return Err(ObsError::Parse {
-                                line: lineno,
-                                reason: format!("bucket index {i} out of range"),
-                            });
+                            return Err(fail(format!("bucket index {i} out of range")));
                         };
-                        *bucket = sum(*bucket, c, name)?;
-                        stat.count = sum(stat.count, c, name)?;
+                        *bucket = sum(*bucket, c, &name)?;
+                        stat.count = sum(stat.count, c, &name)?;
                     }
                 }
-                other => {
-                    return Err(ObsError::Parse {
-                        line: lineno,
-                        reason: format!("unknown record kind {other:?}"),
-                    });
-                }
+                other => return Err(fail(format!("unknown record kind {other:?}"))),
             }
         }
 
@@ -423,217 +390,23 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// A parsed JSON value — exactly the subset the sink emits.
-#[derive(Debug, Clone)]
-enum Val {
-    /// A number written as plain decimal digits that fits a `u64`: the
-    /// form the sink writes every integer in.
-    Int(u64),
-    /// Any other JSON number.
-    Num,
-    Str(String),
-    Arr(Vec<Val>),
+/// One trace line: its kind `k` and every field some kind carries.
+/// [`TraceSummary::parse`] requires the fields the kind needs.
+#[derive(Deserialize)]
+struct Record {
+    k: String,
+    schema: Option<u64>,
+    name: Option<String>,
+    tid: Option<u64>,
+    t0: Option<u64>,
+    t1: Option<u64>,
+    n: Option<u64>,
+    buckets: Option<Vec<(u64, u64)>>,
 }
 
-struct Fields(Vec<(String, Val)>);
-
-impl Fields {
-    fn get(&self, key: &str) -> Option<&Val> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn str_field(&self, key: &str) -> Result<&str, String> {
-        match self.get(key) {
-            Some(Val::Str(s)) => Ok(s),
-            Some(_) => Err(format!("field {key:?} is not a string")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    fn int_field(&self, key: &str) -> Result<u64, String> {
-        match self.get(key) {
-            Some(&Val::Int(n)) => Ok(n),
-            Some(_) => Err(format!("field {key:?} is not an integer in [0, 2^64)")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    fn arr_field(&self, key: &str) -> Result<&[Val], String> {
-        match self.get(key) {
-            Some(Val::Arr(a)) => Ok(a),
-            Some(_) => Err(format!("field {key:?} is not an array")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-}
-
-/// Parses one line as a flat JSON object.
-fn parse_flat_object(line: &str) -> Result<Fields, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let val = p.parse_value(1)?;
-            fields.push((key, val));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing bytes after JSON object".into());
-    }
-    Ok(Fields(fields))
-}
-
-/// How deeply a record's arrays may nest, counting the record itself: the
-/// parser recurses once per level, so without a cap a hostile trace would
-/// choose the stack depth. Traces nest 3 levels; 128 matches `serde_json`.
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(format!("expected {:?}, got {other:?}", want as char)),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    /// Parses one value inside `depth` enclosing objects and arrays.
-    fn parse_value(&mut self, depth: usize) -> Result<Val, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Val::Str(self.parse_string()?)),
-            Some(b'[') if depth == MAX_DEPTH => {
-                Err(format!("arrays nest more than {MAX_DEPTH} levels deep"))
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Val::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.parse_value(depth + 1)?);
-                    self.skip_ws();
-                    match self.next() {
-                        Some(b',') => continue,
-                        Some(b']') => break,
-                        other => return Err(format!("expected ',' or ']', got {other:?}")),
-                    }
-                }
-                Ok(Val::Arr(items))
-            }
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Val, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "number is not utf-8".to_owned())?;
-        if text.bytes().all(|b| b.is_ascii_digit()) {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Val::Int(n));
-            }
-        }
-        text.parse::<f64>()
-            .map(|_| Val::Num)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char).to_digit(16).ok_or("bad \\u escape digit")?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode a multi-byte UTF-8 sequence from the source.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "bad utf-8 in string".to_owned())?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
+/// A field the line's kind needs.
+fn required<T>(value: Option<T>, field: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("missing field {field:?}"))
 }
 
 #[cfg(test)]
@@ -670,7 +443,7 @@ mod tests {
     fn deeply_nested_arrays_are_an_error() {
         let deep = format!("{{\"k\":\"meta\",\"x\":{}", "[".repeat(200_000));
         let err = TraceSummary::parse(&deep).unwrap_err().to_string();
-        assert!(err.contains("more than 128 levels"), "{err}");
+        assert!(err.contains("recursion limit exceeded"), "{err}");
     }
 
     #[test]

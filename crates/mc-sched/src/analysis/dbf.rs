@@ -1,8 +1,9 @@
 //! Processor-demand analysis (demand bound functions) for EDF.
 //!
-//! The utilisation tests in [`super::edf`] and [`super::edf_vd`] are exact
-//! only for implicit deadlines. [`McTask`] also admits *constrained*
-//! deadlines (`D < P`), for which the exact uniprocessor EDF test is the
+//! Utilisation tests, the Liu–Layland bound for plain EDF and those in
+//! [`super::edf_vd`], are exact only for implicit deadlines. [`McTask`]
+//! also admits *constrained* deadlines (`D < P`), for which the exact
+//! uniprocessor EDF test is the
 //! processor-demand criterion (Baruah, Rosier & Howell):
 //!
 //! ```text

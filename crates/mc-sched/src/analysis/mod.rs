@@ -1,6 +1,5 @@
 //! Schedulability analysis for uniprocessor mixed-criticality systems.
 //!
-//! * [`edf`] — the Liu–Layland utilisation bound for plain EDF.
 //! * [`edf_vd`] — EDF-VD (Baruah et al., RTNS 2012): the paper's Eq. 8
 //!   conditions, the deadline-shrinking factor `x`, virtual deadlines, and
 //!   the `max(U_LC^LO)` bound of Eqs. 11–12.
@@ -8,7 +7,6 @@
 //!   LC tasks keep a fraction of their budget in HI mode.
 
 pub mod dbf;
-pub mod edf;
 pub mod edf_vd;
 pub mod liu;
 pub mod multi;

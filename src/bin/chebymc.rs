@@ -112,9 +112,10 @@ USAGE:
       after a lost coordinator.
 
   chebymc trace summary <trace.jsonl>
-      Summarize an observability trace produced by `exp run --trace`
-      (or CHEBYMC_TRACE with the ga_perf bench): per-span durations,
-      counters, tracked values, and latency histogram quantiles.
+      Summarize an observability trace written by `exp run`, `serve` or
+      `worker` with --trace (or by the ga_perf bench with CHEBYMC_TRACE):
+      per-span durations, counters, and latency histogram quantiles, plus
+      a coordinator-health digest when the trace holds `serve.*` events.
 
   chebymc fault sweep [--seed <n>] [--count <n>] [--ops <m>]
       Drive the result store through <count> seed-derived crash schedules
@@ -515,7 +516,7 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         };
         for b in &benches {
             let cfg = b.program().to_cfg()?;
-            report.merge(chebymc::lint::lint_benchmark_cfg(b.name(), &cfg));
+            report.merge(chebymc::lint::lint_cfg(&cfg, b.name()));
         }
         inputs += 1;
     }

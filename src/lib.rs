@@ -17,7 +17,7 @@
 //! | [`exp`] | sharded, resumable experiment campaigns with a crash-safe store |
 //! | [`serve`] | the distributed campaign service: coordinator, workers, failover |
 //! | [`fault`] | deterministic fault injection and the seeded property harness |
-//! | [`obs`] | zero-dependency tracing: spans, counters, histograms, JSONL sink |
+//! | [`obs`] | tracing: spans, counters, histograms, JSONL sink |
 //!
 //! # Quickstart
 //!
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use mc_exec::{Benchmark, ExecutionModel, ExecutionTrace};
     pub use mc_lint::{LintBundle, LintReport, Severity};
     pub use mc_opt::{GaConfig, ProblemConfig, WcetProblem};
-    pub use mc_sched::analysis::{dbf, edf, edf_vd, liu};
+    pub use mc_sched::analysis::{dbf, edf_vd, liu};
     pub use mc_sched::policy::{PolicySpec, PolicyVerdict, RuntimeBehaviour, SchedulingPolicy};
     pub use mc_sched::sim::{
         simulate, JobExecModel, LcPolicy, ModeSwitchPolicy, SimConfig, SimMetrics,

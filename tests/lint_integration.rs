@@ -79,7 +79,7 @@ fn cli_lint_clean_inputs_exit_zero() {
 fn every_benchmark_cfg_lints_clean() {
     for b in chebymc::exec::benchmarks::all().unwrap() {
         let cfg = b.program().to_cfg().unwrap();
-        let report = chebymc::lint::lint_benchmark_cfg(b.name(), &cfg);
+        let report = chebymc::lint::lint_cfg(&cfg, b.name());
         assert!(
             report.is_clean(),
             "benchmark {} is not lint-clean:\n{}",
@@ -104,5 +104,234 @@ fn program_fixtures_lint_clean() {
             "{prog}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
+    }
+}
+
+/// A lint bundle holding one CFG: nodes are `(name, loop_bound, alive)`,
+/// each costing one cycle, and the `succ`/`pred` rows follow `edges`.
+fn cfg_bundle(
+    nodes: &[(&str, Option<u64>, bool)],
+    edges: &[(usize, usize)],
+    entry: Option<usize>,
+    exit: Option<usize>,
+) -> String {
+    let mut succ = vec![Vec::new(); nodes.len()];
+    let mut pred = vec![Vec::new(); nodes.len()];
+    for &(from, to) in edges {
+        succ[from].push(to);
+        pred[to].push(from);
+    }
+    let json = |v: Option<u64>| v.map_or("null".to_owned(), |v| v.to_string());
+    let nodes: Vec<String> = nodes
+        .iter()
+        .map(|(name, bound, alive)| {
+            format!(
+                r#"{{"name":"{name}","cost":1,"loop_bound":{},"alive":{alive}}}"#,
+                json(*bound)
+            )
+        })
+        .collect();
+    format!(
+        r#"{{"cfg":{{"nodes":[{}],"succ":{succ:?},"pred":{pred:?},"entry":{},"exit":{}}}}}"#,
+        nodes.join(","),
+        json(entry.map(|i| i as u64)),
+        json(exit.map(|i| i as u64)),
+    )
+}
+
+/// `chebymc lint --format json` output for CFGs whose findings hang on
+/// the traversal: two loops whose back edges come in another order by
+/// reverse postorder than by node index (the C005/C009 order and the
+/// latch list), an irreducible cycle, a dead block, a dead entry (its
+/// edges lead nowhere, so its loop is unreachable, not unbounded) and a
+/// missing exit.
+#[test]
+fn cli_lint_json_output_is_pinned() {
+    let cases = [
+        (
+            "two_loops",
+            cfg_bundle(
+                &[
+                    ("entry", None, true),
+                    ("h2", Some(0), true),
+                    ("b2", None, true),
+                    ("h1", None, true),
+                    ("b1", None, true),
+                    ("exit", None, true),
+                    ("c1", None, true),
+                ],
+                &[
+                    (0, 3),
+                    (3, 1),
+                    (3, 4),
+                    (3, 6),
+                    (4, 3),
+                    (6, 3),
+                    (1, 2),
+                    (2, 1),
+                    (1, 5),
+                ],
+                Some(0),
+                Some(5),
+            ),
+            r#"{
+  "diagnostics": [
+    {
+      "code": "C005",
+      "severity": "Error",
+      "source": "cfg:bundle/h1 (n3)",
+      "message": "loop header h1 (n3) (back edge from c1 (n6), b1 (n4)) has no loop bound; WCET analysis cannot bound this loop"
+    },
+    {
+      "code": "C009",
+      "severity": "Info",
+      "source": "cfg:bundle/h2 (n1)",
+      "message": "loop at h2 (n1) has bound 0: the body never executes"
+    }
+  ]
+}
+"#,
+        ),
+        (
+            "irreducible",
+            cfg_bundle(
+                &[
+                    ("entry", None, true),
+                    ("b", Some(3), true),
+                    ("c", None, true),
+                    ("exit", None, true),
+                ],
+                &[(0, 1), (0, 2), (1, 2), (2, 1), (1, 3)],
+                Some(0),
+                Some(3),
+            ),
+            r#"{
+  "diagnostics": [
+    {
+      "code": "C008",
+      "severity": "Warning",
+      "source": "cfg:bundle/b (n1)",
+      "message": "block b (n1) carries a loop bound but heads no loop"
+    },
+    {
+      "code": "C006",
+      "severity": "Error",
+      "source": "cfg:bundle",
+      "message": "irreducible control flow: a cycle remains after removing all dominator back edges (multiple-entry loop)"
+    }
+  ]
+}
+"#,
+        ),
+        (
+            "dead_node",
+            cfg_bundle(
+                &[
+                    ("entry", None, true),
+                    ("a", None, true),
+                    ("d", Some(2), false),
+                    ("exit", None, true),
+                ],
+                &[(0, 1), (1, 3), (0, 2), (2, 3)],
+                Some(0),
+                Some(3),
+            ),
+            r#"{
+  "diagnostics": [
+    {
+      "code": "C007",
+      "severity": "Warning",
+      "source": "cfg:bundle/n0->n2",
+      "message": "edge n0 -> n2 touches a collapsed block (n2 dead); the analyser ignores it"
+    },
+    {
+      "code": "C007",
+      "severity": "Warning",
+      "source": "cfg:bundle/n2->n3",
+      "message": "edge n2 -> n3 touches a collapsed block (n2 dead); the analyser ignores it"
+    }
+  ]
+}
+"#,
+        ),
+        (
+            "dead_entry",
+            cfg_bundle(
+                &[
+                    ("entry", None, false),
+                    ("h", None, true),
+                    ("b", None, true),
+                    ("exit", None, true),
+                ],
+                &[(0, 1), (1, 2), (2, 1), (1, 3)],
+                Some(0),
+                Some(3),
+            ),
+            r#"{
+  "diagnostics": [
+    {
+      "code": "C007",
+      "severity": "Warning",
+      "source": "cfg:bundle/n0->n1",
+      "message": "edge n0 -> n1 touches a collapsed block (n0 dead); the analyser ignores it"
+    },
+    {
+      "code": "C003",
+      "severity": "Error",
+      "source": "cfg:bundle/h (n1)",
+      "message": "block h (n1) is unreachable from the entry"
+    },
+    {
+      "code": "C003",
+      "severity": "Error",
+      "source": "cfg:bundle/b (n2)",
+      "message": "block b (n2) is unreachable from the entry"
+    },
+    {
+      "code": "C003",
+      "severity": "Error",
+      "source": "cfg:bundle/exit (n3)",
+      "message": "block exit (n3) is unreachable from the entry"
+    }
+  ]
+}
+"#,
+        ),
+        (
+            "no_exit",
+            cfg_bundle(
+                &[("entry", None, true), ("h", None, true), ("b", None, true)],
+                &[(0, 1), (1, 2), (2, 1)],
+                Some(0),
+                None,
+            ),
+            r#"{
+  "diagnostics": [
+    {
+      "code": "C002",
+      "severity": "Error",
+      "source": "cfg:bundle",
+      "message": "no exit block is set; call set_exit before analysis"
+    },
+    {
+      "code": "C005",
+      "severity": "Error",
+      "source": "cfg:bundle/h (n1)",
+      "message": "loop header h (n1) (back edge from b (n2)) has no loop bound; WCET analysis cannot bound this loop"
+    }
+  ]
+}
+"#,
+        ),
+    ];
+    for (name, bundle, want) in cases {
+        let path = std::env::temp_dir().join(format!(
+            "chebymc-lint-golden-{}-{name}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, bundle).unwrap();
+        let out = chebymc(&["lint", path.to_str().unwrap(), "--format", "json"]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(String::from_utf8_lossy(&out.stdout), want, "{name}");
     }
 }

@@ -1,7 +1,8 @@
 //! Seeded fuzzing of every input that crosses a trust boundary: wire
-//! frames, workload JSON, store files and `.prog` models, plus fixed
-//! cases for escapes, profiles, trace integers, the retired `val` trace
-//! kind and a repeated `Hello`.
+//! frames, workload JSON, store files, `.prog` models and lint bundles,
+//! plus fixed cases for escapes, repeated fields, profiles, trace
+//! integers and JSON laxities, the retired `val` trace kind and a
+//! repeated `Hello`.
 //!
 //! Each property mutates checked-in inputs with bit flips, byte inserts,
 //! deletes, truncations and runs of the format's nesting opener, and
@@ -16,6 +17,7 @@ use chebymc::exp::store::ResumeInfo;
 use chebymc::exp::UnitRunner;
 use chebymc::exp::{run_campaign, ExpError, Metric, RunConfig, Store, UnitRecord};
 use chebymc::fault::{assert_prop, FaultRng, PropConfig};
+use chebymc::lint::LintBundle;
 use chebymc::obs::summary::TraceSummary;
 use chebymc::obs::ObsError;
 use chebymc::serve::{
@@ -363,6 +365,20 @@ fn rfc_8259_laxities_are_refused() {
             "{number}: {stored:?}"
         );
     }
+    // A repeated field is refused, as upstream's derive refuses it, where
+    // a lookup by key would read the first value and drop the second.
+    let renamed = workload.replacen(r#""description": "#, r#""name": "x", "description": "#, 1);
+    assert!(bad_json(Workload::load_json(&renamed)));
+    let twice = framed(r#"{"Hello":{"worker":"w","threads":1,"threads":2}}"#);
+    assert!(protocol(read_frame(&mut twice.as_bytes())));
+    let reseeded = load(records.replacen(r#""metrics":"#, r#""seed":7,"metrics":"#, 1));
+    assert!(reseeded.as_ref().is_err_and(malformed), "{reseeded:?}");
+    let recounted =
+        "{\"k\":\"meta\",\"schema\":1}\n{\"k\":\"ctr\",\"name\":\"c\",\"tid\":0,\"n\":1,\"n\":7}\n";
+    assert!(matches!(
+        TraceSummary::parse(recounted),
+        Err(ObsError::Parse { line: 2, .. })
+    ));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -432,6 +448,44 @@ fn prog_sources_fail_cleanly() {
     );
 }
 
+/// A lint bundle's CFG is hand-written JSON that the builder never
+/// checked: mutations of the defect fixture fail to parse or lint, and a
+/// graph whose entry, exit or `succ` rows do not fit its node list fails
+/// to parse instead of panicking the pass.
+#[test]
+fn lint_bundles_fail_cleanly() {
+    let fixture = include_str!("../fixtures/lint_defects.json");
+    let node = r#"{"name":"n","cost":1,"loop_bound":null,"alive":true}"#;
+    let past_end = [
+        fixture.replacen(r#""entry": 0"#, r#""entry": 8"#, 1),
+        fixture.replacen(r#""exit": 3"#, r#""exit": 9"#, 1),
+        format!(
+            r#"{{"cfg":{{"nodes":[{node},{node}],"succ":[[1]],"pred":[[],[0]],"entry":0,"exit":1}}}}"#
+        ),
+    ];
+    assert!(LintBundle::from_json(fixture).is_ok());
+    for bundle in &past_end {
+        assert_ne!(bundle, fixture);
+        if let Ok(parsed) = LintBundle::from_json(bundle) {
+            panic!(
+                "{bundle} parsed and linted: {}",
+                parsed.lint().render_human()
+            );
+        }
+    }
+    assert_prop(
+        &PropConfig::named("lint-bundles").cases(1000),
+        edits,
+        |edits| {
+            let mutated = text(&mutate(fixture.as_bytes(), edits, b"["));
+            if let Ok(bundle) = LintBundle::from_json(&mutated) {
+                let _ = bundle.lint();
+            }
+            Ok(())
+        },
+    );
+}
+
 /// Every trace integer is read exactly: a negative, fractional,
 /// exponent-form or out-of-range value, a bucket index past the last
 /// bucket, and a total past `u64::MAX` each fail with the 1-based line
@@ -467,6 +521,29 @@ fn trace_integers_out_of_range_are_refused() {
         match TraceSummary::parse(&text) {
             Err(ObsError::Parse { line, .. }) => assert_eq!(line, want, "{text}"),
             other => panic!("{text} parsed as {other:?}"),
+        }
+    }
+}
+
+/// A trace line is RFC 8259 JSON: a leading zero, a raw control
+/// character in a name, a lone surrogate escape and a fraction without
+/// digits (here in a field no kind reads) each fail with their line.
+#[test]
+fn trace_json_laxities_are_refused() {
+    let trace = |line: &str| format!("{{\"k\":\"meta\",\"schema\":1}}\n{line}\n");
+    let ctr =
+        |name: &str, rest: &str| format!(r#"{{"k":"ctr","name":"{name}","tid":0,"n":7{rest}}}"#);
+    let sound = TraceSummary::parse(&trace(&ctr("c", r#","x":1.5"#))).unwrap();
+    assert_eq!(sound.counter_total("c"), 7);
+    for line in [
+        ctr("c", "").replace(":7", ":007"),
+        ctr("c\u{1}", ""),
+        ctr(r"c\ud800", ""),
+        ctr("c", r#","x":1."#),
+    ] {
+        match TraceSummary::parse(&trace(&line)) {
+            Err(ObsError::Parse { line: 2, .. }) => {}
+            other => panic!("{line} parsed as {other:?}"),
         }
     }
 }
