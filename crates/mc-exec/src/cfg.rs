@@ -98,8 +98,8 @@ struct CfgWire {
 /// and edges inside the node list. Dead nodes and the edges that touch
 /// them are kept, for `mc-lint` to report.
 impl Deserialize for Cfg {
-    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
-        let w = CfgWire::from_value(v)?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, DeError> {
+        let w = CfgWire::deserialize(r)?;
         let n = w.nodes.len();
         if w.succ.len() != n || w.pred.len() != n {
             return Err(DeError::custom(format!(

@@ -129,8 +129,8 @@ impl Serialize for WcetProblem {
 }
 
 impl Deserialize for WcetProblem {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let wire = WcetProblemWire::from_value(v)?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::DeError> {
+        let wire = WcetProblemWire::deserialize(r)?;
         Ok(WcetProblem::from_parts(
             wire.tasks,
             wire.u_hc_hi,

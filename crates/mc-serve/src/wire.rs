@@ -129,8 +129,8 @@ pub(crate) fn encode_frame(msg: &Message, out: &mut Vec<u8>) -> Result<(), Serve
 /// # Errors
 ///
 /// Socket failures, oversized or malformed length prefixes, short
-/// payloads, JSON that does not parse as a [`Message`], and `Record`
-/// frames with a non-finite metric.
+/// payloads, and JSON that does not parse as a [`Message`] (a number
+/// beyond `f64`'s range among it).
 pub fn read_frame(r: &mut dyn Read) -> Result<Option<Message>, ServeError> {
     // Length prefix: ASCII digits up to '\n'.
     let mut len: usize = 0;
@@ -180,15 +180,10 @@ pub fn read_frame(r: &mut dyn Read) -> Result<Option<Message>, ServeError> {
     }
     let json = std::str::from_utf8(&payload)
         .map_err(|_| ServeError::Protocol("frame payload is not UTF-8".into()))?;
+    // A number too large for an f64 (`1e999`) does not parse, so every
+    // metric read here is finite, as the store requires.
     let msg: Message = serde_json::from_str(json)
         .map_err(|e| ServeError::Protocol(format!("frame does not parse: {e}")))?;
-    // A number too large for an f64 (`1e999`) parses as infinity, which no
-    // store accepts: refuse it here, like the `null` a NaN would be.
-    if let Message::Record { record, .. } = &msg {
-        record
-            .check_finite()
-            .map_err(|e| ServeError::Protocol(format!("frame refused: {e}")))?;
-    }
     Ok(Some(msg))
 }
 

@@ -204,8 +204,9 @@ fn a_frame_whose_metric_overflows_is_a_protocol_error() {
         format!("{}\n{json}\n", json.len())
     };
     assert!(read_frame(&mut frame("1e300").as_bytes()).is_ok());
-    // `1e999` parses as infinity: the coordinator must drop the frame's
-    // connection, not store it or end the campaign over it.
+    // The JSON reader refuses `1e999` as out of range, so the frame does
+    // not parse: the coordinator must drop its connection, not store it or
+    // end the campaign over it.
     for value in ["1e999", "-1e999"] {
         assert!(
             matches!(

@@ -264,9 +264,9 @@ fn bad_unicode_escapes_fail_cleanly() {
 /// Raw control characters a string must escape (RFC 8259 §7).
 const RAW_CONTROLS: [&str; 3] = ["\u{0}", "\u{1}", "\u{1f}"];
 
-/// Numbers outside RFC 8259's grammar: leading zeros and a fraction
-/// without digits.
-const BAD_NUMBERS: [&str; 5] = ["01", "-01", "00", "1.", "1.e5"];
+/// Numbers outside RFC 8259's grammar (leading zeros, a fraction without
+/// digits) or beyond `f64`'s range.
+const BAD_NUMBERS: [&str; 7] = ["01", "-01", "00", "1.", "1.e5", "1e999", "-1e999"];
 
 /// `text` with the value after the first `key` replaced by `value`.
 fn with_first_value(text: &str, key: &str, value: &str) -> String {
@@ -298,6 +298,10 @@ fn rfc_8259_laxities_are_refused() {
         ..CatalogOptions::default()
     };
     let c = catalog::build("policy_arena", &tiny).unwrap();
+    let submit = serde_json::to_string(&Message::Submit {
+        spec: c.spec.clone(),
+    })
+    .unwrap();
     let mut store = Store::in_memory(&c.spec);
     run_campaign(
         &c.spec,
@@ -338,6 +342,10 @@ fn rfc_8259_laxities_are_refused() {
         read_frame(&mut record("1e05").as_bytes()),
         Ok(Some(_))
     ));
+    assert!(matches!(
+        read_frame(&mut framed(&submit).as_bytes()),
+        Ok(Some(_))
+    ));
     assert_eq!(
         load(records.to_string()).unwrap().records(),
         store.records()
@@ -363,6 +371,11 @@ fn rfc_8259_laxities_are_refused() {
         assert!(
             stored.as_ref().is_err_and(malformed),
             "{number}: {stored:?}"
+        );
+        let spec = with_first_value(&submit, r#""value":"#, number);
+        assert!(
+            protocol(read_frame(&mut framed(&spec).as_bytes())),
+            "{number}"
         );
     }
     // A repeated field is refused, as upstream's derive refuses it, where
